@@ -30,7 +30,9 @@
 //! threads, unlink the socket.
 
 use crate::cache::{DiskCache, ReportCache};
-use crate::protocol::{read_frame_buffered, write_frame, ClientFrame, DaemonStats, ServerFrame};
+use crate::protocol::{
+    read_frame_buffered, write_frame, ClientFrame, DaemonStats, FrameTooLarge, ServerFrame,
+};
 use crate::scheduler::WorkerBudget;
 use crate::signal;
 use crate::transport::{Endpoint, Listener, Stream};
@@ -337,6 +339,18 @@ fn serve_connection(stream: Stream, shared: Arc<Shared>) {
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 continue;
+            }
+            Err(e) if FrameTooLarge::is(&e) => {
+                // The stream is mid-line with no way to find the next
+                // frame: answer, then close as if the client had left.
+                let _ = conn.send(&ServerFrame::Error {
+                    id: None,
+                    message: format!("closing connection: {e}"),
+                });
+                for (_, (_, token)) in conn.inflight.lock().iter() {
+                    token.cancel();
+                }
+                break;
             }
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 let _ = conn.send(&ServerFrame::Error {

@@ -32,7 +32,7 @@
 use pte_tracheotomy::registry::Scenario;
 use pte_verify::api::{VerificationReport, VerificationRequest};
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Protocol revision carried in [`ServerFrame::Hello`]. Bumped on any
 /// frame-shape change; clients refuse to talk to a daemon speaking a
@@ -256,18 +256,53 @@ pub fn read_frame<T: Deserialize>(r: &mut impl BufRead) -> io::Result<Option<T>>
     read_frame_buffered(r, &mut line)
 }
 
+/// The longest frame, in bytes before its newline, that either side
+/// reads. Far above any request or report the protocol carries, and
+/// small enough that a peer which never sends a newline cannot make the
+/// reader allocate without bound.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// The error (kind [`io::ErrorKind::InvalidData`]) a reader returns for
+/// a frame longer than [`MAX_FRAME_BYTES`]. Unlike a malformed frame it
+/// leaves the stream mid-line with no way to find the next frame, so the
+/// connection has to close.
+#[derive(Debug)]
+pub struct FrameTooLarge;
+
+impl std::fmt::Display for FrameTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "frame exceeds {MAX_FRAME_BYTES} bytes")
+    }
+}
+
+impl std::error::Error for FrameTooLarge {}
+
+impl FrameTooLarge {
+    /// `true` when `e` is a [`FrameTooLarge`] error.
+    pub fn is(e: &io::Error) -> bool {
+        e.get_ref().is_some_and(|inner| inner.is::<FrameTooLarge>())
+    }
+}
+
 /// [`read_frame`] with a caller-owned line buffer, for readers that
 /// poll with a read timeout: `read_line` appends whatever bytes
 /// arrived before the timeout to `line` and *keeps* them there across
 /// the `WouldBlock`/`TimedOut` error, so a frame split across poll
 /// intervals reassembles instead of being truncated. Pass the same
 /// buffer on every call; it is drained only when a full line parses
-/// (or fails to).
+/// (or fails to). The buffer never grows past [`MAX_FRAME_BYTES`] plus
+/// the newline: a longer frame fails with [`FrameTooLarge`].
 pub fn read_frame_buffered<T: Deserialize>(
     r: &mut impl BufRead,
     line: &mut String,
 ) -> io::Result<Option<T>> {
-    match r.read_line(line) {
+    // Room for the rest of a maximal frame and its newline: a line that
+    // fills it without ending is oversize.
+    let room = (MAX_FRAME_BYTES + 1).saturating_sub(line.len());
+    match r.take(room as u64).read_line(line) {
+        Ok(_) if line.len() > MAX_FRAME_BYTES && !line.ends_with('\n') => {
+            Err(io::Error::new(io::ErrorKind::InvalidData, FrameTooLarge))
+        }
         Ok(0) if line.trim().is_empty() => Ok(None),
         Ok(_) => {
             let frame = {
@@ -372,6 +407,37 @@ mod tests {
             let back: ServerFrame = read_frame(&mut r).unwrap().unwrap();
             assert_eq!(&back, f);
         }
+    }
+
+    #[test]
+    fn oversize_frames_fail_without_buffering_past_the_cap() {
+        // A maximal frame (padding included) still parses.
+        let mut wire = b"\"Stats\"".to_vec();
+        wire.resize(MAX_FRAME_BYTES, b' ');
+        wire.push(b'\n');
+        let ok: ClientFrame = read_frame(&mut io::BufReader::new(&wire[..]))
+            .unwrap()
+            .unwrap();
+        assert_eq!(ok, ClientFrame::Stats);
+
+        // One byte more, and a peer that never sends a newline: the
+        // reader stops at the cap instead of buffering the stream.
+        let mut wire = b"\"Stats\"".to_vec();
+        wire.resize(MAX_FRAME_BYTES + 1, b' ');
+        wire.push(b'\n');
+        let endless = io::repeat(b'x').take(64 * MAX_FRAME_BYTES as u64);
+        for stream in [&mut &wire[..] as &mut dyn io::Read, &mut { endless }] {
+            let mut r = io::BufReader::new(stream);
+            let mut line = String::new();
+            let err = read_frame_buffered::<ClientFrame>(&mut r, &mut line).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(FrameTooLarge::is(&err), "{err}");
+            assert_eq!(line.len(), MAX_FRAME_BYTES + 1);
+        }
+
+        // A malformed frame is not an oversize one.
+        let err = read_frame::<ClientFrame>(&mut &b"{\n"[..]).unwrap_err();
+        assert!(!FrameTooLarge::is(&err));
     }
 
     #[test]

@@ -270,6 +270,44 @@ fn unknown_scenario_errors_carry_the_suggestion_over_the_wire() {
 }
 
 #[test]
+fn oversize_frame_gets_an_error_and_the_connection_closes() {
+    use pte_server::protocol::{read_frame, MAX_FRAME_BYTES};
+    use std::io::{BufReader, Write};
+    let (endpoint, handle, serving) = boot(1);
+    let Endpoint::Unix(path) = &endpoint else {
+        unreachable!("boot binds a Unix socket")
+    };
+    let mut raw = std::os::unix::net::UnixStream::connect(path).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let hello: ServerFrame = read_frame(&mut reader).unwrap().unwrap();
+    assert!(matches!(hello, ServerFrame::Hello { .. }), "{hello:?}");
+
+    // A frame one byte past the cap, never terminated.
+    raw.write_all(&vec![b'x'; MAX_FRAME_BYTES + 1])
+        .expect("write");
+    match read_frame::<ServerFrame>(&mut reader).unwrap() {
+        Some(ServerFrame::Error { id: None, message }) => {
+            assert!(message.contains("frame exceeds"), "{message}")
+        }
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+    assert!(
+        read_frame::<ServerFrame>(&mut reader).unwrap().is_none(),
+        "the daemon must close the connection"
+    );
+
+    // The daemon itself keeps serving.
+    let mut c = Client::connect(&endpoint).expect("connect");
+    assert_eq!(
+        c.verify(&fast_request()).expect("verify").report.verdict,
+        Verdict::Safe
+    );
+    stop(&handle, serving);
+}
+
+#[test]
 fn progress_frames_stream_for_long_requests() {
     let (endpoint, handle, serving) = boot(2);
     let mut c = Client::connect(&endpoint).expect("connect");

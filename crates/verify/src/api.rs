@@ -88,12 +88,12 @@ use pte_contracts::{
     check_compositional, CompositionalLimits, CompositionalStats, CompositionalVerdict, EnvProfile,
     RefineLimits, PROFILE_NAMES,
 };
-use pte_core::pattern::{build_pattern_system, check_conditions, LeaseConfig};
+use pte_core::pattern::{check_conditions, LeaseConfig};
 use pte_tracheotomy::registry;
 use pte_zones::{
-    analyze_lease_pattern, check_monitored, lower_network, ArtifactSink, CancelToken, Limits,
-    LocationReachMonitor, ModelAnalysis, PassedArtifact, Progress, ProgressFn, Scheduler,
-    SymbolicVerdict, TrippedLimit, ZonesError,
+    check_monitored, ArtifactSink, CancelToken, Limits, LocationReachMonitor, LoweredPattern,
+    ModelAnalysis, PassedArtifact, Progress, ProgressFn, Scheduler, SymbolicVerdict, TrippedLimit,
+    ZonesError,
 };
 use serde::{Deserialize, Number, Serialize, Value};
 use std::fmt;
@@ -887,15 +887,19 @@ impl VerificationRequest {
         let (cfg, scenario_name, recommended) = self.resolve()?;
         self.resolved_profile()?;
         let started = Instant::now();
+        let arm = Arm {
+            lowered: LoweredPattern::new(&cfg, self.leased),
+            cfg,
+        };
         let members = self.members();
         let mut report = match self.backend {
             BackendSel::Portfolio => {
-                self.run_portfolio(&cfg, recommended, &members, cancel, progress, cap, io)
+                self.run_portfolio(&arm, recommended, &members, cancel, progress, cap, io)
             }
             _ => {
                 let only = members[0];
                 let stats =
-                    self.run_one(only, &cfg, recommended, cancel, progress.as_ref(), cap, io);
+                    self.run_one(only, &arm, recommended, cancel, progress.as_ref(), cap, io);
                 let conclusive = stats.verdict.is_conclusive();
                 VerificationReport {
                     scenario: None,
@@ -913,12 +917,13 @@ impl VerificationRequest {
         };
         report.scenario = scenario_name;
         report.compositional = report.backends.iter().find_map(|b| b.compositional.clone());
-        // Attach the static analysis summary: purely static (no state
-        // exploration), so it is cheap enough to compute per report and
-        // deterministic per (config, arm).
-        report.analysis = analyze_lease_pattern(&cfg, self.leased)
+        // Attach the static analysis summary: the one the symbolic
+        // search read, deterministic per (config, arm).
+        report.analysis = arm
+            .lowered
+            .as_ref()
             .ok()
-            .map(|a| AnalysisSummary::from(&a));
+            .map(|p| AnalysisSummary::from(&p.analysis));
         report.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         Ok(report)
     }
@@ -1195,7 +1200,7 @@ impl VerificationRequest {
     fn run_one(
         &self,
         backend: Concrete,
-        cfg: &LeaseConfig,
+        arm: &Arm,
         recommended: Option<usize>,
         cancel: &CancelToken,
         progress: Option<&ProgressSink>,
@@ -1208,12 +1213,12 @@ impl VerificationRequest {
             Arc::new(move |p: &Progress| sink(name, p)) as ProgressFn
         });
         match backend {
-            Concrete::Analytic => self.run_analytic(cfg),
-            Concrete::Exhaustive => self.run_exhaustive(cfg, cancel, labelled.as_ref()),
-            Concrete::MonteCarlo => self.run_montecarlo(cfg, cancel, labelled.as_ref()),
-            Concrete::Symbolic => self.run_symbolic(cfg, recommended, cancel, labelled, cap, io),
+            Concrete::Analytic => self.run_analytic(&arm.cfg),
+            Concrete::Exhaustive => self.run_exhaustive(&arm.cfg, cancel, labelled.as_ref()),
+            Concrete::MonteCarlo => self.run_montecarlo(&arm.cfg, cancel, labelled.as_ref()),
+            Concrete::Symbolic => self.run_symbolic(arm, recommended, cancel, labelled, cap, io),
             Concrete::Compositional => {
-                self.run_compositional(cfg, recommended, cancel, labelled, cap, io)
+                self.run_compositional(arm, recommended, cancel, labelled, cap, io)
             }
         }
     }
@@ -1254,12 +1259,12 @@ impl VerificationRequest {
     }
 
     /// The symbolic backend: [`Query::PteSafety`] through
-    /// [`crate::symbolic::verify_symbolic_with`],
+    /// [`LoweredPattern::check`],
     /// [`Query::LocationReach`] through a composed
     /// [`LocationReachMonitor`].
     fn run_symbolic(
         &self,
-        cfg: &LeaseConfig,
+        arm: &Arm,
         recommended: Option<usize>,
         cancel: &CancelToken,
         progress: Option<ProgressFn>,
@@ -1273,11 +1278,8 @@ impl VerificationRequest {
             ..BackendStats::default()
         };
         let outcome: Result<SymbolicVerdict, String> = match &self.query {
-            Query::PteSafety => crate::symbolic::verify_symbolic_with(cfg, self.leased, &limits)
-                .map_err(|e: ZonesError| e.to_string()),
-            Query::LocationReach { targets } => {
-                symbolic_location_reach(cfg, self.leased, targets, &limits)
-            }
+            Query::PteSafety => arm.check(&limits),
+            Query::LocationReach { targets } => symbolic_location_reach(arm, targets, &limits),
             Query::ConditionCheck => {
                 stats.verdict = Verdict::Inconclusive(Inconclusive::Unsupported(
                     "the symbolic backend does not evaluate c1–c7".into(),
@@ -1336,7 +1338,7 @@ impl VerificationRequest {
     /// but never wrong.
     fn run_compositional(
         &self,
-        cfg: &LeaseConfig,
+        arm: &Arm,
         recommended: Option<usize>,
         cancel: &CancelToken,
         progress: Option<ProgressFn>,
@@ -1383,7 +1385,7 @@ impl VerificationRequest {
                 },
             },
         };
-        match check_compositional(cfg, self.leased, profile, &climits) {
+        match check_compositional(&arm.cfg, self.leased, profile, &climits) {
             Err(e) => {
                 stats.rendered = format!("error: {e}");
                 stats.error = Some(e.clone());
@@ -1422,9 +1424,7 @@ impl VerificationRequest {
                         // limits. The fallback reason (and refinement
                         // counter-example, if any) is preserved in the
                         // rendered text.
-                        let mono: Result<SymbolicVerdict, String> =
-                            crate::symbolic::verify_symbolic_with(cfg, self.leased, &limits)
-                                .map_err(|e: ZonesError| e.to_string());
+                        let mono = arm.check(&limits);
                         let mut rendered =
                             format!("compositional argument fell back to monolithic: {reason}\n");
                         if let Some(ce) = &counter_example {
@@ -1608,7 +1608,7 @@ impl VerificationRequest {
     #[allow(clippy::too_many_arguments)]
     fn run_portfolio(
         &self,
-        cfg: &LeaseConfig,
+        arm: &Arm,
         recommended: Option<usize>,
         members: &[Concrete],
         cancel: &CancelToken,
@@ -1683,7 +1683,7 @@ impl VerificationRequest {
                         // coordinator waits forever: a panicking backend
                         // becomes an in-band error, never a hang.
                         let stats = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.run_one(m, cfg, recommended, &token, progress.as_ref(), cap, io)
+                            self.run_one(m, arm, recommended, &token, progress.as_ref(), cap, io)
                         }))
                         .unwrap_or_else(|_| BackendStats {
                             backend: m.name().into(),
@@ -1788,23 +1788,36 @@ impl VerificationRequest {
     }
 }
 
-/// Location reachability through the symbolic engine: build, lower,
-/// compose a [`LocationReachMonitor`], explore.
+/// Location reachability through the symbolic engine: compose a
+/// [`LocationReachMonitor`] with the arm's network, explore.
 fn symbolic_location_reach(
-    cfg: &LeaseConfig,
-    leased: bool,
+    arm: &Arm,
     targets: &[(String, String)],
     limits: &Limits,
 ) -> Result<SymbolicVerdict, String> {
-    let sys =
-        build_pattern_system(cfg, leased).map_err(|e| format!("pattern build failed: {e:?}"))?;
-    let net = lower_network(&sys.automata).map_err(|e| format!("lowering failed: {e}"))?;
+    let net = &arm.lowered.as_ref().map_err(ZonesError::to_string)?.net;
     let queries: Vec<(&str, &str)> = targets
         .iter()
         .map(|(a, l)| (a.as_str(), l.as_str()))
         .collect();
-    let monitor = LocationReachMonitor::new(&net, &queries)?;
-    check_monitored(&net, &monitor, limits)
+    let monitor = LocationReachMonitor::new(net, &queries)?;
+    check_monitored(net, &monitor, limits)
+}
+
+/// The system a request checks: its configuration, and that arm built,
+/// lowered and analyzed once — every symbolic search of the request and
+/// its report's analysis summary read the same [`LoweredPattern`].
+struct Arm {
+    cfg: LeaseConfig,
+    lowered: Result<LoweredPattern, ZonesError>,
+}
+
+impl Arm {
+    /// The PTE check of this arm on the symbolic engine.
+    fn check(&self, limits: &Limits) -> Result<SymbolicVerdict, String> {
+        let lowered = self.lowered.as_ref().map_err(ZonesError::to_string)?;
+        lowered.check(limits).map_err(|e| e.to_string())
+    }
 }
 
 /// Outcome of a Monte-Carlo sampling pass.

@@ -174,10 +174,23 @@ impl Dbm {
 
     /// Floyd–Warshall all-pairs tightening to canonical form.
     ///
-    /// This is the O(n³) *construction-time* closure: the engine only
-    /// needs it when a zone is built from scratch (lowering, tests) or
-    /// loosened wholesale (extrapolation). Successor computation uses
-    /// the O(n²) incremental [`Dbm::close1`] path instead.
+    /// This is the O(n³) *construction-time* closure, for matrices
+    /// built constraint by constraint ([`Dbm::constrain`],
+    /// [`Dbm::intersect`]). The engine never runs it: each per-state
+    /// operation starts from a canonical zone and re-closes only what
+    /// it changed, and each result is the unique canonical form this
+    /// full pass would produce:
+    ///
+    /// * one tightened entry — [`Dbm::close1`], O(n²): every shorter
+    ///   path uses the new edge exactly once;
+    /// * `k` upper bounds `x ≺ b` at once (delay within invariants) —
+    ///   [`Dbm::constrain_upper_and_close`], O(n·k) plus O(n) per
+    ///   improved row: every new edge enters the reference clock, so a
+    ///   shortest path uses at most one of them;
+    /// * `k` loosened entries (extrapolation) — [`Dbm::extrapolate_lu`]
+    ///   and [`Dbm::extrapolate_lu_plus`] relax just those entries over
+    ///   every pivot, O(n·k): raising entries of a closed matrix cannot
+    ///   shorten any path, so every other entry is already final.
     pub fn canonicalize(&mut self) {
         let d = self.dim;
         for k in 0..d {
@@ -219,18 +232,9 @@ impl Dbm {
         // row `i`, whose `(i, j)` entry the caller tightened): a row
         // whose shortest path to `j` did not improve cannot improve
         // anywhere through the new edge, so pass 2 only walks the
-        // touched rows — O(n + changed·n) in practice. One u64 word per
-        // 64 rows; the engine's dimensions fit the first word.
-        let words = d.div_ceil(64);
-        let mut touched = [0u64; 4];
-        let mut touched_vec;
-        let touched: &mut [u64] = if words <= 4 {
-            &mut touched[..words]
-        } else {
-            touched_vec = vec![0u64; words];
-            &mut touched_vec
-        };
-        touched[i / 64] |= 1 << (i % 64);
+        // touched rows — O(n + changed·n) in practice.
+        let mut touched = RowSet::new(d);
+        touched.insert(i);
         for p in 0..d {
             let pi = self.m[p * d + i];
             if pi.is_inf() {
@@ -239,23 +243,18 @@ impl Dbm {
             let through = pi + b;
             if through < self.m[p * d + j] {
                 self.m[p * d + j] = through;
-                touched[p / 64] |= 1 << (p % 64);
+                touched.insert(p);
             }
         }
-        for (w, &word) in touched.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let p = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let pj = self.m[p * d + j];
-                if pj.is_inf() {
-                    continue;
-                }
-                for q in 0..d {
-                    let through = pj + self.m[j * d + q];
-                    if through < self.m[p * d + q] {
-                        self.m[p * d + q] = through;
-                    }
+        for p in touched.iter() {
+            let pj = self.m[p * d + j];
+            if pj.is_inf() {
+                continue;
+            }
+            for q in 0..d {
+                let through = pj + self.m[j * d + q];
+                if through < self.m[p * d + q] {
+                    self.m[p * d + q] = through;
                 }
             }
         }
@@ -286,6 +285,90 @@ impl Dbm {
             self.close1(i, j);
         }
         true
+    }
+
+    /// Conjoins every upper bound `x ≺ b` of `bounds` onto a
+    /// **canonical** matrix and restores canonical form in one pass —
+    /// the delay step's invariant closure. Returns `false` (and marks
+    /// the zone empty) when the bounds are inconsistent with the zone;
+    /// on `true` the matrix is canonical and non-empty.
+    ///
+    /// Equal to one [`Dbm::constrain_and_close`] per bound, emptiness
+    /// included, at the cost of one: every new edge `x → 0` enters the
+    /// reference clock, and a shortest path visits it at most once, so
+    /// it uses at most one new edge. Column 0 takes the best new edge
+    /// (`p → x → 0`), and only the rows it improved extend through the
+    /// unchanged row 0 (`p → 0 → q`). Row 0 cannot change unless the
+    /// zone empties, which happens exactly when some `0 → x → 0` cycle
+    /// turns negative — the test `constrain_and_close` makes per bound.
+    pub fn constrain_upper_and_close(
+        &mut self,
+        bounds: impl IntoIterator<Item = (usize, Bound)>,
+    ) -> bool {
+        debug_assert!(
+            self.closed_through_zero(),
+            "constrain_upper_and_close requires a canonical matrix"
+        );
+        let d = self.dim;
+        let mut improved = RowSet::new(d);
+        for (x, b) in bounds {
+            debug_assert!(x >= 1 && x < d, "an upper bound names a real clock");
+            if self.m[x] + b < Bound::LE_ZERO {
+                self.m[0] = Bound::LT_ZERO;
+                return false;
+            }
+            // Column `x ≥ 1` is only read here, so every `p → x` is the
+            // zone's own; row 0 cannot improve (the test above).
+            for p in 1..d {
+                let px = self.m[p * d + x];
+                if px.is_inf() {
+                    continue;
+                }
+                let through = px + b;
+                if through < self.m[p * d] {
+                    self.m[p * d] = through;
+                    improved.insert(p);
+                }
+            }
+        }
+        for p in improved.iter() {
+            let p0 = self.m[p * d];
+            for q in 1..d {
+                let through = p0 + self.m[q];
+                if through < self.m[p * d + q] {
+                    self.m[p * d + q] = through;
+                }
+            }
+        }
+        true
+    }
+
+    /// Restores canonical form after extrapolation raised the entries in
+    /// `loosened` of a canonical, non-empty matrix — the closure step
+    /// all three extrapolation operators share.
+    ///
+    /// Raising entries cannot shorten any path, and every path of the
+    /// loosened matrix is at least as long as in the closed original, so
+    /// every entry that was not loosened is already final. Floyd–Warshall
+    /// therefore never changes those entries, and running its pivot loop
+    /// over the loosened entries alone performs exactly the same updates
+    /// in O(n·k) instead of O(n³): the result is the unique closure.
+    fn close_loosened(&mut self, loosened: &EntrySet) {
+        let d = self.dim;
+        for k in 0..d {
+            for i in loosened.rows.iter() {
+                let ik = self.m[i * d + k];
+                if ik.is_inf() {
+                    continue;
+                }
+                for j in loosened.row(i) {
+                    let through = ik + self.m[k * d + j];
+                    if through < self.m[i * d + j] {
+                        self.m[i * d + j] = through;
+                    }
+                }
+            }
+        }
     }
 
     /// `true` if the matrix is a Floyd–Warshall fixpoint (fully closed):
@@ -525,12 +608,14 @@ impl Dbm {
     /// states while preserving reachability of every diagonal-free
     /// property. Both vectors are indexed like `k` in
     /// [`Dbm::extrapolate`] (entry 0 = reference, ignored).
-    /// Re-canonicalizes when anything changed.
+    ///
+    /// Takes a canonical, non-empty zone and leaves it canonical,
+    /// re-closing only the entries it loosened.
     pub fn extrapolate_lu(&mut self, lower: &[i64], upper: &[i64]) {
         debug_assert_eq!(lower.len(), self.dim);
         debug_assert_eq!(upper.len(), self.dim);
         let d = self.dim;
-        let mut changed = false;
+        let mut loosened = EntrySet::new(d);
         for (i, &li) in lower.iter().enumerate() {
             for (j, &uj) in upper.iter().enumerate().take(d) {
                 if i == j {
@@ -543,16 +628,14 @@ impl Dbm {
                 }
                 if i != 0 && b > Bound::le(li) {
                     self.m[idx] = Bound::INF;
-                    changed = true;
+                    loosened.insert(i, j);
                 } else if j != 0 && b < Bound::lt(-uj) {
                     self.m[idx] = Bound::lt(-uj);
-                    changed = true;
+                    loosened.insert(i, j);
                 }
             }
         }
-        if changed {
-            self.canonicalize();
-        }
+        self.close_loosened(&loosened);
     }
 
     /// Zone-position-based LU extrapolation `Extra⁺_LU` (ibid., the
@@ -576,11 +659,14 @@ impl Dbm {
     /// Each zone passes through it once per settle, so the engine only
     /// needs soundness and the (preserved) finite-range guarantee, not
     /// idempotence.
+    ///
+    /// Takes a canonical, non-empty zone and leaves it canonical,
+    /// re-closing only the entries it loosened.
     pub fn extrapolate_lu_plus(&mut self, lower: &[i64], upper: &[i64]) {
         debug_assert_eq!(lower.len(), self.dim);
         debug_assert_eq!(upper.len(), self.dim);
         let d = self.dim;
-        let mut changed = false;
+        let mut loosened = EntrySet::new(d);
         // The rules read the zone's pre-extrapolation lower bounds (the
         // reference row `c_0x`); processing rows `i ≥ 1` first and the
         // reference row last keeps those reads on the original values
@@ -600,7 +686,7 @@ impl Dbm {
                 }
                 if b > Bound::le(li) || row_free || (j != 0 && self.m[j] < Bound::le(-uj)) {
                     self.m[idx] = Bound::INF;
-                    changed = true;
+                    loosened.insert(i, j);
                 }
             }
         }
@@ -610,12 +696,10 @@ impl Dbm {
             let b = self.m[j];
             if !b.is_inf() && b < Bound::lt(-uj) {
                 self.m[j] = Bound::lt(-uj);
-                changed = true;
+                loosened.insert(0, j);
             }
         }
-        if changed {
-            self.canonicalize();
-        }
+        self.close_loosened(&loosened);
     }
 
     /// Reduces a **canonical, non-empty** zone to its minimal constraint
@@ -635,6 +719,12 @@ impl Dbm {
     /// `∞` entries are never stored; everything else is recovered by
     /// closure ([`MinimalDbm::restore`] is the inverse, law-tested in
     /// the crate proptests).
+    ///
+    /// Allocates only the result: zero-equivalence is transitive on a
+    /// canonical non-empty zone, so an index is its class's
+    /// representative iff no smaller index is equivalent to it (a
+    /// bitset), and a class is walked by scanning for indices
+    /// equivalent to its head.
     pub fn reduce(&self) -> MinimalDbm {
         debug_assert!(
             !self.is_empty() && self.is_closed(),
@@ -642,64 +732,47 @@ impl Dbm {
         );
         debug_assert!(self.dim <= u8::MAX as usize, "dim fits u8 indices");
         let d = self.dim;
-        // 1. Zero-equivalence classes; rep[i] = least member of i's class.
-        let mut rep = vec![0u8; d];
+        let m = &self.m;
+        let equivalent = |i: usize, j: usize| m[i * d + j] + m[j * d + i] == Bound::LE_ZERO;
+        // 1. Zero-equivalence classes, one representative (least member)
+        //    each.
+        let mut reps = RowSet::new(d);
         for i in 0..d {
-            rep[i] = i as u8;
-            for j in 0..i {
-                if rep[j] as usize == j && self.get(i, j) + self.get(j, i) == Bound::LE_ZERO {
-                    rep[i] = j as u8;
-                    break;
-                }
+            if !(0..i).any(|j| reps.contains(j) && equivalent(i, j)) {
+                reps.insert(i);
             }
         }
-        let mut cons: Vec<MinCon> = Vec::new();
+        let con = |i: usize, j: usize| MinCon {
+            i: i as u8,
+            j: j as u8,
+            b: m[i * d + j],
+        };
+        let mut cons = Vec::new();
         // Class cycles: members in index order, closing back to the head.
-        for head in 0..d {
-            if rep[head] as usize != head {
-                continue;
+        for head in reps.iter() {
+            let mut last = head;
+            for member in (head + 1..d).filter(|&i| equivalent(i, head)) {
+                cons.push(con(last, member));
+                last = member;
             }
-            let members: Vec<usize> = (head..d).filter(|&i| rep[i] as usize == head).collect();
-            if members.len() < 2 {
-                continue;
-            }
-            for w in 0..members.len() {
-                let a = members[w];
-                let b = members[(w + 1) % members.len()];
-                cons.push(MinCon {
-                    i: a as u8,
-                    j: b as u8,
-                    b: self.get(a, b),
-                });
+            if last != head {
+                cons.push(con(last, head));
             }
         }
         // Representative graph: keep (i, j) unless a third representative
         // lies on an equally tight path.
-        for i in 0..d {
-            if rep[i] as usize != i {
-                continue;
-            }
-            for j in 0..d {
-                if i == j || rep[j] as usize != j {
+        for i in reps.iter() {
+            let row = &m[i * d..(i + 1) * d];
+            for j in reps.iter() {
+                let b = row[j];
+                if i == j || b.is_inf() {
                     continue;
                 }
-                let b = self.get(i, j);
-                if b.is_inf() {
-                    continue;
-                }
-                let redundant = (0..d).any(|k| {
-                    k != i
-                        && k != j
-                        && rep[k] as usize == k
-                        && !self.get(i, k).is_inf()
-                        && self.get(i, k) + self.get(k, j) <= b
-                });
+                let redundant = reps
+                    .iter()
+                    .any(|k| k != i && k != j && !row[k].is_inf() && row[k] + m[k * d + j] <= b);
                 if !redundant {
-                    cons.push(MinCon {
-                        i: i as u8,
-                        j: j as u8,
-                        b,
-                    });
+                    cons.push(con(i, j));
                 }
             }
         }
@@ -762,6 +835,122 @@ impl fmt::Debug for Dbm {
             writeln!(f)?;
         }
         Ok(())
+    }
+}
+
+/// A bitset over `0..capacity` held inline in `N` words (`64·N`
+/// members), so the per-state kernels never allocate on the engine's
+/// dimensions; larger sets spill to the heap.
+struct IndexSet<const N: usize> {
+    inline: [u64; N],
+    spill: Vec<u64>,
+    words: usize,
+}
+
+/// Rows of any matrix the engine builds (it caps dimensions at 255).
+type RowSet = IndexSet<4>;
+
+/// A set of matrix entries: the rows holding any, plus one column mask
+/// per row (`stride` words each) — inline up to 64 × 64 matrices.
+struct EntrySet {
+    rows: RowSet,
+    cols: IndexSet<64>,
+    stride: usize,
+}
+
+impl EntrySet {
+    /// An empty set over the entries of a `dim × dim` matrix.
+    fn new(dim: usize) -> EntrySet {
+        let stride = dim.div_ceil(64);
+        EntrySet {
+            rows: RowSet::new(dim),
+            cols: IndexSet::new(dim * stride * 64),
+            stride,
+        }
+    }
+
+    fn insert(&mut self, i: usize, j: usize) {
+        self.rows.insert(i);
+        self.cols.insert(i * self.stride * 64 + j);
+    }
+
+    /// The columns of the members in row `i`, in increasing order.
+    fn row(&self, i: usize) -> Members<'_> {
+        Members::of(&self.cols.as_words()[i * self.stride..(i + 1) * self.stride])
+    }
+}
+
+impl<const N: usize> IndexSet<N> {
+    /// An empty set over the indices `0..capacity`.
+    fn new(capacity: usize) -> Self {
+        let words = capacity.div_ceil(64);
+        IndexSet {
+            inline: [0; N],
+            spill: if words > N {
+                vec![0; words]
+            } else {
+                Vec::new()
+            },
+            words,
+        }
+    }
+
+    fn as_words(&self) -> &[u64] {
+        if self.words > N {
+            &self.spill
+        } else {
+            &self.inline[..self.words]
+        }
+    }
+
+    fn insert(&mut self, v: usize) {
+        let words = if self.words > N {
+            &mut self.spill[..]
+        } else {
+            &mut self.inline[..]
+        };
+        words[v / 64] |= 1 << (v % 64);
+    }
+
+    fn contains(&self, v: usize) -> bool {
+        self.as_words()[v / 64] & (1 << (v % 64)) != 0
+    }
+
+    /// The members in increasing order.
+    fn iter(&self) -> Members<'_> {
+        Members::of(self.as_words())
+    }
+}
+
+/// Iterator over the set bits of a word slice, in increasing order.
+struct Members<'a> {
+    words: &'a [u64],
+    w: usize,
+    rest: u64,
+}
+
+impl Members<'_> {
+    fn of(words: &[u64]) -> Members<'_> {
+        Members {
+            words,
+            w: 0,
+            rest: words.first().copied().unwrap_or(0),
+        }
+    }
+}
+
+impl Iterator for Members<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.rest == 0 {
+            self.w += 1;
+            self.rest = *self.words.get(self.w)?;
+        }
+        let bit = self.rest.trailing_zeros() as usize;
+        self.rest &= self.rest - 1;
+        Some(self.w * 64 + bit)
     }
 }
 

@@ -13,14 +13,17 @@
 //!
 //! 1. [`dbm`] — Difference Bound Matrices over integer ticks:
 //!    construction-time canonicalization (Floyd–Warshall) plus the
-//!    **incremental** O(n²) re-closure [`Dbm::close1`] /
-//!    [`Dbm::constrain_and_close`] the engine's hot path runs on,
-//!    `up`/`down`/`free`/`reset` (all closure-preserving, law-tested),
+//!    **incremental** re-closures the engine's hot path runs on (each
+//!    redoes only what its operation changed: one tightened entry in
+//!    [`Dbm::close1`] / [`Dbm::constrain_and_close`], all invariant
+//!    upper bounds after a delay in
+//!    [`Dbm::constrain_upper_and_close`], the entries extrapolation
+//!    loosened), `up`/`down`/`free`/`reset` (all closure-preserving, law-tested),
 //!    inclusion, emptiness, two extrapolation operators for
 //!    termination (maximal-constant `Extra_M` and the coarser LU-bound
 //!    `Extra⁺_LU`), the **minimal constraint form** ([`Dbm::reduce`] /
-//!    [`MinimalDbm`]) that compresses the passed list by a measured
-//!    ~3.6×, and a [`DbmPool`] free-list for allocation-free successor
+//!    [`MinimalDbm`]) that compresses the case study's passed list
+//!    3.8×, and a [`DbmPool`] free-list for allocation-free successor
 //!    computation;
 //! 2. [`lower`] — a timed abstraction of the `pte-core` pattern
 //!    automata: their continuous dynamics are clock-like by construction
@@ -46,11 +49,10 @@
 //!    candidates are probed against the passed list *before*
 //!    extrapolation, and any monitor violation is reported as a
 //!    symbolic counter-example trace ([`SearchStats`] includes peak
-//!    passed-list bytes on the safe side). Case-study proof: ≈ 51 ms /
-//!    ≈ 69 000 states/s on a 2-vCPU container; the `chain-N` registry
-//!    scenarios scale the same engine to ≈ 477 000 settled states at
-//!    `N = 6` (see `bench/benches/zones.rs` and its
-//!    `BENCH_zones.json`).
+//!    passed-list bytes on the safe side). Case-study proof: ≈ 3.6 ms /
+//!    368 states on a 2-vCPU container; chain-8 settles 19 816 states
+//!    in ≈ 1.2 s (`cargo bench -p pte-bench --bench zones`, which also
+//!    writes `BENCH_zones.json`).
 //!
 //! ## Quickstart
 //!
@@ -170,23 +172,52 @@ pub fn check_lease_pattern_with(
     leased: bool,
     limits: &Limits,
 ) -> Result<SymbolicVerdict, ZonesError> {
-    let sys = build_pattern_system(cfg, leased).map_err(|e| ZonesError::Build(format!("{e:?}")))?;
-    let net = lower_network(&sys.automata)?;
-    // The spec is moved (not re-cloned) into tick units, and `check`
-    // borrows both the network and the spec — nothing on this path
-    // clones an automaton.
-    let spec = ObserverSpec::from(cfg.pte_spec());
-    check(&net, &spec, limits).map_err(ZonesError::Spec)
+    LoweredPattern::new(cfg, leased)?.check(limits)
 }
 
 /// Builds and lowers one arm of the `N`-entity lease-pattern system
 /// for `cfg` and runs the [static model analysis](analysis) over it —
-/// the entry point `pte-lint` and the verification report's `analysis`
-/// stats use. Purely static: no state-space exploration happens.
+/// the entry point `pte-lint` uses. Purely static: no state-space
+/// exploration happens.
 pub fn analyze_lease_pattern(cfg: &LeaseConfig, leased: bool) -> Result<ModelAnalysis, ZonesError> {
-    let sys = build_pattern_system(cfg, leased).map_err(|e| ZonesError::Build(format!("{e:?}")))?;
-    let net = lower_network(&sys.automata)?;
-    Ok(analyze(&net))
+    LoweredPattern::new(cfg, leased).map(|p| p.analysis)
+}
+
+/// One arm of the `N`-entity lease-pattern system for a configuration,
+/// built, lowered and statically analyzed once, so a search and a
+/// report's analysis summary share a single pass of each.
+#[derive(Debug)]
+pub struct LoweredPattern {
+    /// The lowered timed-automata network.
+    pub net: ta::TaNetwork,
+    /// The [static model analysis](analysis) of [`LoweredPattern::net`].
+    pub analysis: ModelAnalysis,
+    /// The PTE rules of the configuration, in ticks.
+    spec: ObserverSpec,
+}
+
+impl LoweredPattern {
+    /// Builds the leased (or lease-stripped) pattern system for `cfg`,
+    /// lowers it and analyzes the network.
+    pub fn new(cfg: &LeaseConfig, leased: bool) -> Result<LoweredPattern, ZonesError> {
+        let sys =
+            build_pattern_system(cfg, leased).map_err(|e| ZonesError::Build(format!("{e:?}")))?;
+        let net = lower_network(&sys.automata)?;
+        let analysis = analyze(&net);
+        Ok(LoweredPattern {
+            net,
+            analysis,
+            spec: ObserverSpec::from(cfg.pte_spec()),
+        })
+    }
+
+    /// Symbolically checks the configuration's PTE rules over every
+    /// timing and loss fate, like [`check`], reusing this arm's
+    /// analysis instead of running it again.
+    pub fn check(&self, limits: &Limits) -> Result<SymbolicVerdict, ZonesError> {
+        reach::check_analyzed(&self.net, &self.analysis, &self.spec, limits)
+            .map_err(ZonesError::Spec)
+    }
 }
 
 #[cfg(test)]

@@ -71,16 +71,30 @@
 //!
 //! ## Hot-path engineering
 //!
-//! Three layers keep the per-state cost low (PR 3):
+//! Three layers keep the per-state cost low:
 //!
-//! * **Incremental canonicalization** — guards, invariants and urgent
-//!   splits tighten zones through [`Atom::apply_and_close`]
-//!   ([`Dbm::close1`], O(n²)) instead of deferring to a full O(n³)
-//!   Floyd–Warshall per successor; the only remaining full closures run
-//!   at lowering time and inside extrapolation.
+//! * **Closure that only redoes what changed** — no per-state step
+//!   runs a full O(n³) Floyd–Warshall; each re-closes just the entries
+//!   its operation can affect, and each yields the unique canonical
+//!   form a full closure would, so results are bit-identical:
+//!   - guards and urgent splits tighten one entry at a time
+//!     ([`crate::ta::Atom::apply_and_close`] → [`Dbm::close1`],
+//!     O(n²)): every shorter path uses the new edge exactly once;
+//!   - delay conjoins all location invariants after `up()` in one pass
+//!     ([`Dbm::constrain_upper_and_close`]): each invariant edge enters
+//!     the reference clock, so a shortest path uses at most one of
+//!     them — column 0 takes the best, then only the rows it improved
+//!     extend through row 0;
+//!   - extrapolation relaxes only the entries it loosened, over every
+//!     pivot (O(n·k)): raising entries of a closed matrix cannot
+//!     shorten any path, so every other entry is already final.
+//!
+//!   A full closure remains only where a matrix is rebuilt from stored
+//!   constraints (warm-start validation,
+//!   [`crate::dbm::MinimalDbm::restore`]).
 //! * **Interned, allocation-free successor plumbing** — action labels
-//!   are fixed-size `Act` codes (rendered to the PR 2 strings only
-//!   when a counter-example is reported), event roots are interned into
+//!   are fixed-size `Act` codes (rendered to strings only when a
+//!   counter-example is reported), event roots are interned into
 //!   `u16` ids with per-`(automaton, location)` dispatch tables
 //!   replacing edge scans, discrete keys are interned per shard into
 //!   `u32` ids ([`crate::intern::Interner`]), and successor zones are
@@ -89,7 +103,8 @@
 //!   constraint form ([`Dbm::reduce`], typically O(n) constraints
 //!   instead of the full `(n+1)²` matrix) with subsumption checked
 //!   directly against the compact form
-//!   ([`crate::dbm::MinimalDbm::includes`]); the measured footprint is
+//!   ([`crate::dbm::MinimalDbm::includes`]); reduction allocates only
+//!   its result, and the measured footprint is
 //!   reported in [`SearchStats::peak_passed_bytes`]. Candidates are
 //!   additionally probed against the passed list *before*
 //!   extrapolation: a subsumed candidate's concrete behaviours are all
@@ -105,7 +120,7 @@
 //! admitted — so settled-state counts are comparable only within a
 //! version, never across the optimization boundary.
 
-use crate::analysis::{analyze, ActivityMasks};
+use crate::analysis::{analyze, ActivityMasks, ModelAnalysis};
 use crate::artifact::{
     atom_ticks, masks_digest, net_structure_digest, ArtifactSink, PassedArtifact, PassedEntry,
 };
@@ -115,7 +130,7 @@ use crate::monitor::{
     Monitor, MonitorState, MonitorViolation, ObserverSpec, PteMonitor, TransitionCtx,
 };
 use crate::symmetry::Symmetry;
-use crate::ta::{Atom, LuBounds, Sync, TaNetwork};
+use crate::ta::{LuBounds, Sync, TaNetwork};
 use parking_lot::{Mutex, RwLock};
 use pte_hybrid::Root;
 use std::collections::{HashMap, VecDeque};
@@ -726,12 +741,27 @@ pub fn check(
         let monitor = PteMonitor::new(net, spec)?;
         return check_monitored(net, &monitor, limits);
     }
+    check_analyzed(net, &analyze(net), spec, limits)
+}
+
+/// [`check`] with the static analysis of `net` ([`analyze`]) already
+/// at hand, for callers that also report it: the search reads the same
+/// analysis instead of running it a second time. Unused when
+/// [`Limits::reduce_clocks`] is off.
+pub(crate) fn check_analyzed(
+    net: &TaNetwork,
+    analysis: &ModelAnalysis,
+    spec: &ObserverSpec,
+    limits: &Limits,
+) -> Result<SymbolicVerdict, String> {
+    if !limits.reduce_clocks {
+        return check(net, spec, limits);
+    }
 
     // Static analysis first: drop/merge provably redundant network
     // clocks (smaller DBMs on every operation) and collect per-location
     // dead-clock masks for the search to free, the same collapse the
     // monitor already applies to its own observer clocks.
-    let analysis = analyze(net);
     let reduced;
     let rnet: &TaNetwork = if analysis.reduction.is_identity() {
         net
@@ -1777,7 +1807,11 @@ impl Engine<'_> {
                     }
                 }
             }
-            let entry = shared.deques[wid].lock().pop_front().or_else(|| {
+            // Own deque first, its guard dropped before any victim is
+            // locked: holding it while stealing lets two idle workers
+            // each wait on the other's lock forever.
+            let own = shared.deques[wid].lock().pop_front();
+            let entry = own.or_else(|| {
                 (1..workers).find_map(|d| {
                     let stolen = shared.deques[(wid + d) % workers].lock().pop_back();
                     if stolen.is_some() {
@@ -2180,17 +2214,7 @@ impl Engine<'_> {
 
         // No pending events: split on invariant satisfaction.
         let mut zin = pool.clone_dbm(&w.zone);
-        let mut zin_alive = true;
-        let mut atoms: Vec<(usize, Atom)> = Vec::new();
-        for (ai, aut) in self.net.automata.iter().enumerate() {
-            for atom in &aut.locations[w.locs[ai] as usize].invariant {
-                // Incremental conjunction; once empty, only collect the
-                // remaining atoms (the urgent split below needs them all).
-                zin_alive = zin_alive && atom.apply_and_close(&mut zin);
-                atoms.push((ai, *atom));
-            }
-        }
-        if zin_alive {
+        if self.apply_invariants(&w.locs, &mut zin) {
             out.push(Work {
                 locs: w.locs.clone(),
                 mon: w.mon.clone(),
@@ -2202,40 +2226,64 @@ impl Engine<'_> {
             pool.recycle(zin);
         }
         // Sub-zones beyond some invariant must take an urgent escape now.
-        for (ai, atom) in &atoms {
-            let mut zout = pool.clone_dbm(&w.zone);
-            if !atom.negated().apply_and_close(&mut zout) {
-                pool.recycle(zout);
-                continue;
-            }
-            let loc = w.locs[*ai] as usize;
-            for &eid in &self.urgent[*ai][loc] {
-                let mut branch = Work {
-                    locs: w.locs.clone(),
-                    mon: w.mon.clone(),
-                    zone: pool.clone_dbm(&zout),
-                    queue: w.queue.clone(),
-                    acts: w.acts.clone(),
-                };
-                branch.acts.push(Act::InvariantExpired { aut: *ai as u16 });
-                if self.apply_edge(&mut branch, *ai, eid as usize, local)? {
-                    self.resolve(branch, depth + 1, out, local, pool)?;
-                } else {
-                    pool.recycle(branch.zone);
+        for (ai, aut) in self.net.automata.iter().enumerate() {
+            let loc = w.locs[ai] as usize;
+            for atom in &aut.locations[loc].invariant {
+                let mut zout = pool.clone_dbm(&w.zone);
+                if !atom.negated().apply_and_close(&mut zout) {
+                    pool.recycle(zout);
+                    continue;
                 }
+                for &eid in &self.urgent[ai][loc] {
+                    let mut branch = Work {
+                        locs: w.locs.clone(),
+                        mon: w.mon.clone(),
+                        zone: pool.clone_dbm(&zout),
+                        queue: w.queue.clone(),
+                        acts: w.acts.clone(),
+                    };
+                    branch.acts.push(Act::InvariantExpired { aut: ai as u16 });
+                    if self.apply_edge(&mut branch, ai, eid as usize, local)? {
+                        self.resolve(branch, depth + 1, out, local, pool)?;
+                    } else {
+                        pool.recycle(branch.zone);
+                    }
+                }
+                pool.recycle(zout);
             }
-            pool.recycle(zout);
         }
         pool.recycle(w.zone);
         Ok(())
     }
 
+    /// Conjoins the invariants of the locations `locs` onto a canonical
+    /// zone; `false` when they empty it. The upper bounds — every
+    /// invariant the pattern lowers to — close together in one pass
+    /// ([`Dbm::constrain_upper_and_close`]); a lower-bound atom closes
+    /// on its own first. The result is the canonical form of the whole
+    /// conjunction, so the order is immaterial.
+    fn apply_invariants(&self, locs: &[u32], zone: &mut Dbm) -> bool {
+        let atoms = || {
+            self.net
+                .automata
+                .iter()
+                .zip(locs)
+                .flat_map(|(aut, &l)| &aut.locations[l as usize].invariant)
+        };
+        atoms()
+            .filter(|a| a.upper_bound().is_none())
+            .all(|a| a.apply_and_close(zone))
+            && zone.constrain_upper_and_close(
+                atoms().filter_map(|a| Some((a.clock, a.upper_bound()?))),
+            )
+    }
+
     /// Cooks a settled work item into an admission candidate: delay
     /// closure, observer-clock activity reduction, extrapolation, and
     /// the state-level PTE checks. Subsumption is deferred to phase 2.
-    /// Every step preserves canonical form incrementally; the only full
-    /// closure left is the one extrapolation performs internally when
-    /// it widens anything.
+    /// Every step keeps the zone canonical and re-closes only what it
+    /// changed: the invariants after `up()` in one pass, extrapolation
+    /// over just the entries it loosened.
     fn cook(
         &self,
         mut w: Work,
@@ -2252,15 +2300,11 @@ impl Engine<'_> {
             .any(|(ai, &l)| self.net.automata[ai].locations[l as usize].frozen);
         if !frozen {
             w.zone.up();
-            for (ai, aut) in self.net.automata.iter().enumerate() {
-                for atom in &aut.locations[w.locs[ai] as usize].invariant {
-                    if !atom.apply_and_close(&mut w.zone) {
-                        // Cannot happen for a zone that satisfied the
-                        // invariants, but guard against malformed inputs.
-                        pool.recycle(w.zone);
-                        return Ok(None);
-                    }
-                }
+            if !self.apply_invariants(&w.locs, &mut w.zone) {
+                // Cannot happen for a zone that satisfied the
+                // invariants, but guard against malformed inputs.
+                pool.recycle(w.zone);
+                return Ok(None);
             }
         }
         // Observer-clock activity reduction: the monitor frees whichever

@@ -62,6 +62,16 @@ impl Atom {
         }
     }
 
+    /// The bound `≺ c` of an upper-bound atom (`x ≤ c`, `x < c`) as the
+    /// DBM entry `(clock, 0)` takes it; `None` for lower bounds.
+    pub(crate) fn upper_bound(&self) -> Option<Bound> {
+        match self.rel {
+            Rel::Le => Some(Bound::le(self.ticks)),
+            Rel::Lt => Some(Bound::lt(self.ticks)),
+            Rel::Ge | Rel::Gt => None,
+        }
+    }
+
     /// The negation of this atom (`≤` ↔ `>`, `<` ↔ `≥`).
     pub fn negated(&self) -> Atom {
         let rel = match self.rel {

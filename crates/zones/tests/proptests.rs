@@ -17,6 +17,10 @@ enum Op {
     Reset(usize, i64),
     UpperBound(usize, i64),
     LowerBound(usize, i64),
+    /// Frees a clock (per-clock scripts only).
+    Free(usize),
+    /// Conjoins `xa - xb < v` (per-clock scripts only).
+    Diagonal(usize, usize, i64),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -42,10 +46,185 @@ fn zone_from(ops: &[Op]) -> Dbm {
             Op::LowerBound(c, v) => {
                 z.constrain(0, *c, Bound::le(-*v));
             }
+            Op::Free(_) | Op::Diagonal(..) => unreachable!("not drawn by ops()"),
         }
         z.canonicalize();
     }
     z
+}
+
+/// The widest zones the per-clock laws draw (clock counts `1..=8`).
+const MAX_CLOCKS: usize = 8;
+
+/// An op script over a drawn clock count (`1..=MAX_CLOCKS`), for laws
+/// that must hold in every dimension; per-clock bound vectors are
+/// drawn beside it ([`bounds`]). Clock indices are drawn in
+/// `1..=MAX_CLOCKS` and folded onto the script's own clocks.
+#[derive(Clone, Debug)]
+struct Script {
+    clocks: usize,
+    ops: Vec<Op>,
+}
+
+impl Script {
+    /// The script's drawn clock index `c` folded onto its clocks.
+    fn clock(&self, c: usize) -> usize {
+        (c - 1) % self.clocks + 1
+    }
+
+    /// A bound vector for this dimension (entry 0, the reference, is
+    /// ignored by the operators and kept at 0).
+    fn vector(&self, drawn: &[i64]) -> Vec<i64> {
+        let mut v = drawn[..=self.clocks].to_vec();
+        v[0] = 0;
+        v
+    }
+
+    /// The canonical zone the script builds from the origin, including
+    /// diagonal constraints and freed clocks.
+    fn zone(&self) -> Dbm {
+        let mut z = Dbm::zero(self.clocks);
+        for op in &self.ops {
+            match *op {
+                Op::Up => z.up(),
+                Op::Reset(c, v) => z.reset(self.clock(c), v),
+                Op::UpperBound(c, v) => {
+                    z.constrain(self.clock(c), 0, Bound::le(v));
+                }
+                Op::LowerBound(c, v) => {
+                    z.constrain(0, self.clock(c), Bound::le(-v));
+                }
+                Op::Free(c) => z.free(self.clock(c)),
+                Op::Diagonal(a, b, v) => {
+                    let (a, b) = (self.clock(a), self.clock(b));
+                    if a != b {
+                        z.constrain(a, b, Bound::lt(v));
+                    }
+                }
+            }
+            z.canonicalize();
+            if z.is_empty() {
+                break;
+            }
+        }
+        z
+    }
+}
+
+fn sized() -> impl Strategy<Value = Script> {
+    let c = || 1usize..=MAX_CLOCKS;
+    let op = prop_oneof![
+        Just(Op::Up),
+        (c(), 0i64..50).prop_map(|(c, v)| Op::Reset(c, v)),
+        (c(), 0i64..100).prop_map(|(c, v)| Op::UpperBound(c, v)),
+        (c(), 0i64..100).prop_map(|(c, v)| Op::LowerBound(c, v)),
+        c().prop_map(Op::Free),
+        (c(), c(), -40i64..40).prop_map(|(a, b, v)| Op::Diagonal(a, b, v)),
+    ];
+    (c(), proptest::collection::vec(op, 0..16)).prop_map(|(clocks, ops)| Script { clocks, ops })
+}
+
+/// Per-clock bound vectors, long enough for the widest script.
+fn bounds() -> impl Strategy<Value = Vec<i64>> {
+    proptest::collection::vec(0i64..60, MAX_CLOCKS + 1)
+}
+
+/// Straightforward reference computations the optimized kernels must
+/// reproduce entry for entry: each re-derives its result the long way
+/// (full Floyd–Warshall closure, explicit equivalence classes).
+mod oracle {
+    use pte_zones::dbm::{Bound, Dbm, MinCon};
+
+    /// `Extra_LU` (and `Extra_M` with `L = U = M`): apply the per-entry
+    /// rules, then close the whole matrix.
+    pub fn extra_lu(z: &Dbm, lower: &[i64], upper: &[i64]) -> Dbm {
+        let d = z.clocks() + 1;
+        let mut out = z.clone();
+        for (i, &l) in lower.iter().enumerate().take(d) {
+            for (j, &u) in upper.iter().enumerate().take(d) {
+                let b = z.get(i, j);
+                if i == j || b.is_inf() {
+                    continue;
+                }
+                if i != 0 && b > Bound::le(l) {
+                    out.set(i, j, Bound::INF);
+                } else if j != 0 && b < Bound::lt(-u) {
+                    out.set(i, j, Bound::lt(-u));
+                }
+            }
+        }
+        out.canonicalize();
+        out
+    }
+
+    /// `Extra⁺_LU`: the row/column widening rules read off the
+    /// original zone, then a full closure.
+    pub fn extra_lu_plus(z: &Dbm, lower: &[i64], upper: &[i64]) -> Dbm {
+        let d = z.clocks() + 1;
+        let above = |x: usize, k: i64| z.get(0, x) < Bound::le(-k);
+        let mut out = z.clone();
+        for (i, &l) in lower.iter().enumerate().take(d).skip(1) {
+            for (j, &u) in upper.iter().enumerate().take(d) {
+                let b = z.get(i, j);
+                if i == j || b.is_inf() {
+                    continue;
+                }
+                if b > Bound::le(l) || above(i, l) || (j != 0 && above(j, u)) {
+                    out.set(i, j, Bound::INF);
+                }
+            }
+        }
+        for (j, &u) in upper.iter().enumerate().take(d).skip(1) {
+            if z.get(0, j) < Bound::lt(-u) {
+                out.set(0, j, Bound::lt(-u));
+            }
+        }
+        out.canonicalize();
+        out
+    }
+
+    /// Minimal constraint form with an explicit representative vector
+    /// and explicit member lists per zero-equivalence class.
+    pub fn reduce(z: &Dbm) -> Vec<MinCon> {
+        let d = z.clocks() + 1;
+        let con = |i: usize, j: usize| MinCon {
+            i: i as u8,
+            j: j as u8,
+            b: z.get(i, j),
+        };
+        let mut rep: Vec<usize> = (0..d).collect();
+        for i in 0..d {
+            if let Some(j) =
+                (0..i).find(|&j| rep[j] == j && z.get(i, j) + z.get(j, i) == Bound::LE_ZERO)
+            {
+                rep[i] = j;
+            }
+        }
+        let mut cons = Vec::new();
+        for head in (0..d).filter(|&h| rep[h] == h) {
+            let members: Vec<usize> = (head..d).filter(|&i| rep[i] == head).collect();
+            if members.len() >= 2 {
+                for w in 0..members.len() {
+                    cons.push(con(members[w], members[(w + 1) % members.len()]));
+                }
+            }
+        }
+        let reps: Vec<usize> = (0..d).filter(|&i| rep[i] == i).collect();
+        for &i in &reps {
+            for &j in &reps {
+                if i == j || z.get(i, j).is_inf() {
+                    continue;
+                }
+                let redundant = reps
+                    .iter()
+                    .any(|&k| k != i && k != j && z.get(i, k) + z.get(k, j) <= z.get(i, j));
+                if !redundant {
+                    cons.push(con(i, j));
+                }
+            }
+        }
+        cons
+    }
 }
 
 proptest! {
@@ -156,12 +335,12 @@ proptest! {
     }
 
     /// Extrapolation only grows the zone (it abstracts, never refines),
-    /// and is idempotent for a fixed ceiling vector.
+    /// and is idempotent for a fixed per-clock ceiling vector.
     #[test]
-    fn extrapolation_widens_and_idempotent(script in ops(), k in 1i64..60) {
-        let z = zone_from(&script);
+    fn extrapolation_widens_and_idempotent(script in sized(), k in bounds()) {
+        let z = script.zone();
         prop_assume!(!z.is_empty());
-        let ks = vec![k; CLOCKS + 1];
+        let ks = script.vector(&k);
         let mut wide = z.clone();
         wide.extrapolate(&ks);
         prop_assert!(wide.includes(&z));
@@ -171,17 +350,12 @@ proptest! {
     }
 
     /// `Extra_LU` is a sound abstraction: `Z ⊆ ExtraLU(Z)` for any
-    /// bound vectors, and it is idempotent for fixed vectors.
+    /// per-clock bound vectors, and it is idempotent for fixed vectors.
     #[test]
-    fn lu_extrapolation_widens_and_idempotent(
-        script in ops(),
-        l in 1i64..60,
-        u in 1i64..60,
-    ) {
-        let z = zone_from(&script);
+    fn lu_extrapolation_widens_and_idempotent(script in sized(), l in bounds(), u in bounds()) {
+        let z = script.zone();
         prop_assume!(!z.is_empty());
-        let ls = vec![l; CLOCKS + 1];
-        let us = vec![u; CLOCKS + 1];
+        let (ls, us) = (script.vector(&l), script.vector(&u));
         let mut wide = z.clone();
         wide.extrapolate_lu(&ls, &us);
         prop_assert!(wide.includes(&z));
@@ -190,21 +364,24 @@ proptest! {
         prop_assert!(again == wide);
     }
 
-    /// `Extra_LU` preserves `Extra_M`-completeness: with `L, U ≤ M` it
-    /// abstracts at least as coarsely (`ExtraM(Z) ⊆ ExtraLU(Z)`), and
-    /// with `L = U = M` the two operators coincide exactly.
+    /// `Extra_LU` preserves `Extra_M`-completeness: with `L, U ≤ M`
+    /// clock by clock it abstracts at least as coarsely
+    /// (`ExtraM(Z) ⊆ ExtraLU(Z)`), and with `L = U = M` the two
+    /// operators coincide exactly.
     #[test]
     fn lu_extrapolation_is_coarser_than_extra_m(
-        script in ops(),
-        m in 1i64..60,
-        dl in 0i64..20,
-        du in 0i64..20,
+        script in sized(),
+        m in bounds(),
+        dl in bounds(),
+        du in bounds(),
     ) {
-        let z = zone_from(&script);
+        let z = script.zone();
         prop_assume!(!z.is_empty());
-        let ms = vec![m; CLOCKS + 1];
-        let ls = vec![(m - dl).max(0); CLOCKS + 1];
-        let us = vec![(m - du).max(0); CLOCKS + 1];
+        let ms = script.vector(&m);
+        let below = |d: &[i64]| -> Vec<i64> {
+            ms.iter().zip(d).map(|(&m, &d)| (m - d / 3).max(0)).collect()
+        };
+        let (ls, us) = (below(&dl), below(&du));
 
         let mut by_m = z.clone();
         by_m.extrapolate(&ms);
@@ -218,24 +395,99 @@ proptest! {
     }
 
     /// `Extra⁺_LU` (the engine's LU operator) is a sound abstraction at
-    /// least as coarse as the per-entry `Extra_LU` for the same bounds:
-    /// `Z ⊆ ExtraLU(Z) ⊆ ExtraLU⁺(Z)`.
+    /// least as coarse as the per-entry `Extra_LU` for the same
+    /// per-clock bounds: `Z ⊆ ExtraLU(Z) ⊆ ExtraLU⁺(Z)`.
     #[test]
     fn lu_plus_extrapolation_is_sound_and_coarser_than_lu(
-        script in ops(),
-        l in 1i64..60,
-        u in 1i64..60,
+        script in sized(),
+        l in bounds(),
+        u in bounds(),
     ) {
-        let z = zone_from(&script);
+        let z = script.zone();
         prop_assume!(!z.is_empty());
-        let ls = vec![l; CLOCKS + 1];
-        let us = vec![u; CLOCKS + 1];
+        let (ls, us) = (script.vector(&l), script.vector(&u));
         let mut by_lu = z.clone();
         by_lu.extrapolate_lu(&ls, &us);
         let mut by_plus = z.clone();
         by_plus.extrapolate_lu_plus(&ls, &us);
         prop_assert!(by_plus.includes(&z));
         prop_assert!(by_plus.includes(&by_lu));
+    }
+
+    /// Every extrapolation operator re-closes only the entries it
+    /// loosened, and still produces exactly what loosening followed by
+    /// a full Floyd–Warshall produces.
+    #[test]
+    fn extrapolation_matches_loosen_then_canonicalize(
+        script in sized(),
+        l in bounds(),
+        u in bounds(),
+    ) {
+        let z = script.zone();
+        prop_assume!(!z.is_empty());
+        let (ls, us) = (script.vector(&l), script.vector(&u));
+
+        let mut by_m = z.clone();
+        by_m.extrapolate(&ls);
+        prop_assert_eq!(by_m, oracle::extra_lu(&z, &ls, &ls));
+
+        let mut by_lu = z.clone();
+        by_lu.extrapolate_lu(&ls, &us);
+        prop_assert_eq!(by_lu, oracle::extra_lu(&z, &ls, &us));
+
+        let mut by_plus = z.clone();
+        by_plus.extrapolate_lu_plus(&ls, &us);
+        prop_assert!(by_plus.is_closed());
+        prop_assert_eq!(by_plus, oracle::extra_lu_plus(&z, &ls, &us));
+    }
+
+    /// The one-pass invariant closure equals conjoining the same upper
+    /// bounds one `constrain_and_close` at a time — on delayed zones
+    /// (the engine's `up()`-then-invariants step) and on arbitrary
+    /// ones — emptiness included.
+    #[test]
+    fn batched_upper_bounds_match_sequential_closure(
+        script in sized(),
+        delayed in 0u8..2,
+        raw in proptest::collection::vec((1usize..=MAX_CLOCKS, 0i64..100, 0u8..2), 0..6),
+    ) {
+        let mut z = script.zone();
+        prop_assume!(!z.is_empty());
+        if delayed == 1 {
+            z.up();
+        }
+        let upper: Vec<(usize, Bound)> = raw
+            .iter()
+            .map(|&(c, v, weak)| {
+                let b = if weak == 1 { Bound::le(v) } else { Bound::lt(v) };
+                (script.clock(c), b)
+            })
+            .collect();
+
+        let mut sequential = z.clone();
+        let alive = upper.iter().all(|&(x, b)| sequential.constrain_and_close(x, 0, b));
+
+        let mut batched = z.clone();
+        prop_assert_eq!(batched.constrain_upper_and_close(upper.iter().copied()), alive);
+        prop_assert_eq!(batched.is_empty(), !alive);
+        if alive {
+            prop_assert!(batched.is_closed());
+            prop_assert_eq!(batched, sequential);
+        }
+    }
+
+    /// The allocation-free `reduce` emits exactly the constraints, in
+    /// exactly the order, of the straightforward construction, and
+    /// `restore` inverts it.
+    #[test]
+    fn reduce_matches_reference_and_round_trips(script in sized()) {
+        let z = script.zone();
+        prop_assume!(!z.is_empty());
+        let reduced = z.reduce();
+        prop_assert_eq!(reduced.dim() as usize, z.clocks() + 1);
+        let reference = oracle::reduce(&z);
+        prop_assert_eq!(reduced.constraints(), reference.as_slice());
+        prop_assert!(reduced.restore() == z, "restore(reduce(z)) must equal z");
     }
 
     /// The incremental closure agrees with the full Floyd–Warshall: for
