@@ -47,10 +47,11 @@
 //! internally — uncapped nesting would square the thread count and the
 //! timing columns would measure scheduler contention, not backends).
 //!
-//! All backend dispatch goes through the unified
-//! [`pte_verify::api`] session layer — this binary only builds
-//! requests, lays the per-backend stats out as a table/JSON, and
-//! enforces the cross-backend gates.
+//! The analytic and symbolic columns go through the unified
+//! [`pte_verify::api`] session layer; the exhaustive column calls
+//! [`pte_verify::explore`] directly. This binary only builds requests,
+//! lays the per-backend stats out as a table/JSON, and enforces the
+//! cross-backend gates.
 
 use crossbeam::thread;
 use parking_lot::Mutex;
@@ -60,7 +61,7 @@ use pte_hybrid::Time;
 use pte_tracheotomy::registry;
 use pte_verify::report::TextTable;
 use pte_verify::{
-    BackendSel, BackendStats, CrossCheck, Extrapolation, Limits, Query, SymbolicOutcome, Verdict,
+    explore, BackendSel, CrossCheck, Extrapolation, Limits, Query, SymbolicOutcome, Verdict,
     VerificationRequest,
 };
 use serde::{Number, Value};
@@ -140,14 +141,6 @@ fn run_cell(cell: &Cell, workers: usize, depth: usize) -> Row {
             .backend(backend)
             .max_states(cell.budget)
             .workers(workers)
-            .depth(depth)
-    };
-    let backend_stats = |backend: BackendSel| -> BackendStats {
-        request(backend)
-            .run()
-            .expect("inline-config requests are well-formed")
-            .primary()
-            .clone()
     };
 
     // The c1–c7 column is arm-independent: conditions constrain the
@@ -159,24 +152,30 @@ fn run_cell(cell: &Cell, workers: usize, depth: usize) -> Row {
         .verdict
         == Verdict::Safe;
 
-    let symbolic = backend_stats(BackendSel::Symbolic);
-    let exhaustive = backend_stats(BackendSel::Exhaustive);
+    let symbolic = request(BackendSel::Symbolic)
+        .run()
+        .expect("inline-config requests are well-formed")
+        .primary()
+        .clone();
+    let started = Instant::now();
+    let exhaustive = explore(&cell.cfg, cell.leased, depth, false);
+    let exhaustive_ms = started.elapsed().as_secs_f64() * 1e3;
 
     Row {
         cell: cell.clone(),
         analytic_ok,
         cross: CrossCheck {
             symbolic: outcome_of(&symbolic.verdict),
-            exhaustive_safe: exhaustive.verdict == Verdict::Safe,
+            exhaustive_safe: exhaustive.all_safe(),
             exhaustive_runs: exhaustive.runs,
             symbolic_states: symbolic.states,
         },
         symbolic_tripped: symbolic.tripped,
         symbolic_error: symbolic.error,
-        exhaustive_violations: exhaustive.violations,
-        exhaustive_errors: exhaustive.errors,
+        exhaustive_violations: exhaustive.violations.len(),
+        exhaustive_errors: exhaustive.errors.len(),
         symbolic_ms: symbolic.wall_ms,
-        exhaustive_ms: exhaustive.wall_ms,
+        exhaustive_ms,
         passed_bytes: (symbolic.peak_passed_bytes, symbolic.peak_passed_bytes_full),
     }
 }

@@ -5,7 +5,7 @@
 //! ```sh
 //! pte-verify-client --scenario case-study            # leased arm, symbolic
 //! pte-verify-client --scenario chain-4 --baseline    # lease-stripped arm
-//! pte-verify-client --scenario chain-3 --backend portfolio
+//! pte-verify-client --scenario chain-3 --backend auto  # analytic, then symbolic
 //! pte-verify-client --scenario chain-6 --warm-from KEY   # seed from a prior proof
 //! pte-verify-client --list                           # daemon's catalogue
 //! pte-verify-client --stats                          # scheduler/cache stats
@@ -14,7 +14,8 @@
 //!
 //! Connection flags: `--socket PATH` (default `/tmp/pte-verifyd.sock`)
 //! or `--tcp ADDR`. Request flags: `--baseline`, `--backend
-//! {analytic,exhaustive,montecarlo,symbolic,compositional,auto,portfolio}`,
+//! {analytic,symbolic,compositional,auto}` (`auto` runs the analytic
+//! c1–c7 check, then the symbolic engine only if that is inconclusive),
 //! `--contract PROFILE` (environment contract profile for the
 //! compositional backend; unknown names get a "did you mean"
 //! diagnostic), `--refine-pairs N` (refinement state-pair budget),
@@ -22,8 +23,10 @@
 //! (suppress progress lines), `--no-cache` (bypass both cache tiers for
 //! the lookup and the store), `--warm-from KEY` (ask the daemon to seed
 //! the search from the named prior run's passed-list artifact — needs a
-//! daemon started with `--cache-dir`; inadmissible artifacts silently
-//! fall back to a cold run), and `--relax-safeguards MS` (submit the
+//! daemon started with `--cache-dir` and a parent that ran the zone
+//! search: a leased `auto` proof is analytic and leaves no artifact;
+//! inadmissible artifacts silently fall back to a cold run), and
+//! `--relax-safeguards MS` (submit the
 //! scenario's config with every safeguard pair weakened to
 //! `(MS, MS/2)` milliseconds — the canonical warm-start demo: a weaker
 //! monitor over the same network admits the parent's whole proof).
@@ -152,11 +155,8 @@ fn run() -> i32 {
     let backend = match arg_value(&args, "--backend").as_deref() {
         None | Some("symbolic") => BackendSel::Symbolic,
         Some("analytic") => BackendSel::Analytic,
-        Some("exhaustive") => BackendSel::Exhaustive,
-        Some("montecarlo") => BackendSel::MonteCarlo,
         Some("compositional") => BackendSel::Compositional,
         Some("auto") => BackendSel::Auto,
-        Some("portfolio") => BackendSel::Portfolio,
         Some(other) => {
             eprintln!("unknown backend `{other}`");
             return 2;

@@ -5,7 +5,7 @@
 //! alphabet — the lease/grant/release/abort channels it shares with the
 //! Supervisor, with the c1–c7 timing envelope from the [`LeaseConfig`] —
 //! plus the risky/safe classification of its locations. The refinement
-//! checker ([`crate::refine`]) decides whether a concrete (lowered) device
+//! checker ([`crate::refine`](mod@crate::refine)) decides whether a concrete (lowered) device
 //! automaton implements a contract; the compositional driver
 //! ([`crate::compose`]) then substitutes contracts for devices in small
 //! per-safeguard abstract networks.

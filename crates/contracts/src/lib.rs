@@ -14,7 +14,7 @@
 //!   library (`lease-client`, `lease-provider`, `supervisor-iface`,
 //!   `top`), derived per device from a
 //!   [`pte_core::pattern::config::LeaseConfig`];
-//! * [`refine`] — the timed refinement checker deciding
+//! * [`refine`](mod@refine) — the timed refinement checker deciding
 //!   `Device ⊑ Contract` by state-pair zone exploration, deterministic at
 //!   any worker count, with symbolic counter-examples;
 //! * [`compose`] — the driver [`compose::check_compositional`]: `N`

@@ -3,23 +3,24 @@
 //! `pte-verifyd`: verification-as-a-service over the unified
 //! [`pte_verify::api`].
 //!
-//! PR 5 gave the repo one front door for in-process verification — a
+//! [`pte_verify::api`] is the repo's front door for in-process
+//! verification — a
 //! [`VerificationRequest`](pte_verify::api::VerificationRequest) with
-//! portfolio racing, cancellation, and streamed progress. This crate
+//! cancellation and streamed progress. This crate
 //! puts that front door on a socket: a persistent daemon that accepts
 //! concurrent requests as JSON lines over a Unix-domain or TCP socket
 //! and returns the same [`VerificationReport`](
 //! pte_verify::api::VerificationReport) artifacts, with three things a
 //! one-shot CLI cannot provide:
 //!
-//! * **a global worker budget** ([`scheduler`]) — in-process callers
-//!   each assume `available_parallelism - 1` is theirs; N concurrent
-//!   clients making that assumption oversubscribe the machine N-fold.
+//! * **a global worker budget** ([`scheduler`]) — an in-process `Auto`
+//!   request sizes its zone search to the whole machine; N concurrent
+//!   clients doing that oversubscribe the machine N-fold.
 //!   The daemon admits every request through one shared FIFO
 //!   semaphore, reserving
 //!   [`worker_cost`](pte_verify::api::VerificationRequest::worker_cost)
 //!   slots and running capped via
-//!   [`run_with_slots`](pte_verify::api::VerificationRequest::run_with_slots),
+//!   [`run_with_artifacts`](pte_verify::api::VerificationRequest::run_with_artifacts),
 //!   so the fleet-wide thread fan-out never exceeds the budget (the
 //!   `peak_workers_in_use` stat proves it);
 //! * **a report cache** ([`cache`]) — keyed by the canonical

@@ -20,13 +20,13 @@
 //! ## Example transcript
 //!
 //! ```text
-//! C: {"Submit":{"id":1,"request":{"scenario":"case-study","config":null,"leased":true,"query":"PteSafety","backend":"Symbolic","budget":{"seed":0}}}}
-//! S: {"Accepted":{"id":1,"key":"00d14e3326706fa9","cached":false}}
+//! C: {"Submit":{"id":1,"request":{"scenario":"case-study","config":null,"leased":true,"query":"PteSafety","backend":"Symbolic","budget":{}}}}
+//! S: {"Accepted":{"id":1,"key":"891f93ed374637fb","cached":false}}
 //! S: {"Progress":{"id":1,"backend":"symbolic","round":12,"settled":310,"frontier":55,"elapsed_ms":4.1}}
-//! S: {"Report":{"id":1,"key":"00d14e3326706fa9","cached":false,"report":{...,"verdict":"Safe",...}}}
+//! S: {"Report":{"id":1,"key":"891f93ed374637fb","cached":false,"report":{...,"verdict":"Safe",...}}}
 //! C: {"Submit":{"id":2,"request":{...same...}}}
-//! S: {"Accepted":{"id":2,"key":"00d14e3326706fa9","cached":true}}
-//! S: {"Report":{"id":2,"key":"00d14e3326706fa9","cached":true,"report":{...}}}
+//! S: {"Accepted":{"id":2,"key":"891f93ed374637fb","cached":true}}
+//! S: {"Report":{"id":2,"key":"891f93ed374637fb","cached":true,"report":{...}}}
 //! ```
 
 use pte_tracheotomy::registry::Scenario;
@@ -109,8 +109,8 @@ pub enum ServerFrame {
     Progress {
         /// The submit id.
         id: u64,
-        /// Which backend produced the snapshot (`"symbolic"`,
-        /// `"exhaustive"`, …) — portfolio requests interleave several.
+        /// Which backend produced the snapshot (`"symbolic"` or
+        /// `"compositional"` — the backends that run zone searches).
         backend: String,
         /// BFS round / reporting tick.
         round: usize,

@@ -1,18 +1,17 @@
 //! The global worker budget: one counting semaphore shared by every
-//! connection, generalizing `pte_verify::api`'s *per-request*
-//! `available_parallelism - 1` admission policy to the whole daemon.
+//! connection.
 //!
 //! A single in-process `run()` may grab the machine because it is the
 //! only tenant. A daemon serving N clients must not let N requests each
-//! make that assumption — that is the oversubscription the ISSUE calls
-//! out. Here every request must [`WorkerBudget::acquire`] its
+//! make that assumption — that would oversubscribe the machine N-fold.
+//! Here every request must [`WorkerBudget::acquire`] its
 //! [`pte_verify::api::VerificationRequest::worker_cost`] before it
-//! runs, and runs via `run_with_slots(.., granted)` so the search's
-//! actual thread fan-out matches its reservation.
+//! runs, and runs via `run_with_artifacts(.., Some(granted), ..)` so
+//! the search's actual thread fan-out matches its reservation.
 //!
-//! Admission is strict FIFO: a wide request (e.g. a portfolio wanting
-//! the whole machine) at the head of the queue blocks later narrow
-//! ones rather than being starved by a stream of them. Fairness over
+//! Admission is strict FIFO: a wide request (e.g. an `Auto` zone search
+//! wanting the whole machine) at the head of the queue blocks later
+//! narrow ones rather than being starved by a stream of them. Fairness over
 //! packing — a verification daemon's worst failure mode is a big proof
 //! that never gets scheduled.
 //!
@@ -153,7 +152,7 @@ pub struct WorkerPermit {
 
 impl WorkerPermit {
     /// How many slots this permit holds — the `slots` value to pass to
-    /// `run_with_slots`.
+    /// `run_with_artifacts`.
     pub fn slots(&self) -> usize {
         self.slots
     }

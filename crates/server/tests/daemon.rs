@@ -6,10 +6,12 @@
 
 use pte_server::client::Client;
 use pte_server::daemon::{Daemon, DaemonConfig, DaemonHandle};
-use pte_server::protocol::{ClientFrame, ServerFrame};
+use pte_server::protocol::{read_frame, ClientFrame, ServerFrame};
 use pte_server::strip_timing;
 use pte_server::transport::Endpoint;
 use pte_verify::api::{BackendSel, Inconclusive, Verdict, VerificationRequest};
+use std::io::{BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
@@ -44,6 +46,21 @@ fn boot(workers: usize) -> (Endpoint, DaemonHandle, thread::JoinHandle<()>) {
 fn stop(handle: &DaemonHandle, serving: thread::JoinHandle<()>) {
     handle.shutdown();
     serving.join().expect("daemon thread");
+}
+
+/// A raw connection past the daemon's `Hello`, for bytes the typed
+/// client never sends.
+fn raw_connection(endpoint: &Endpoint) -> (UnixStream, BufReader<UnixStream>) {
+    let Endpoint::Unix(path) = endpoint else {
+        unreachable!("boot binds a Unix socket")
+    };
+    let raw = UnixStream::connect(path).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let hello: ServerFrame = read_frame(&mut reader).unwrap().unwrap();
+    assert!(matches!(hello, ServerFrame::Hello { .. }), "{hello:?}");
+    (raw, reader)
 }
 
 /// A fast conclusive request (case-study proves Safe in well under a
@@ -271,18 +288,9 @@ fn unknown_scenario_errors_carry_the_suggestion_over_the_wire() {
 
 #[test]
 fn oversize_frame_gets_an_error_and_the_connection_closes() {
-    use pte_server::protocol::{read_frame, MAX_FRAME_BYTES};
-    use std::io::{BufReader, Write};
+    use pte_server::protocol::MAX_FRAME_BYTES;
     let (endpoint, handle, serving) = boot(1);
-    let Endpoint::Unix(path) = &endpoint else {
-        unreachable!("boot binds a Unix socket")
-    };
-    let mut raw = std::os::unix::net::UnixStream::connect(path).expect("connect");
-    raw.set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
-    let hello: ServerFrame = read_frame(&mut reader).unwrap().unwrap();
-    assert!(matches!(hello, ServerFrame::Hello { .. }), "{hello:?}");
+    let (mut raw, mut reader) = raw_connection(&endpoint);
 
     // A frame one byte past the cap, never terminated.
     raw.write_all(&vec![b'x'; MAX_FRAME_BYTES + 1])
@@ -304,6 +312,46 @@ fn oversize_frame_gets_an_error_and_the_connection_closes() {
         c.verify(&fast_request()).expect("verify").report.verdict,
         Verdict::Safe
     );
+    stop(&handle, serving);
+}
+
+/// A `Submit` naming a backend the API no longer has gets an `Error`
+/// frame that names it, and the connection keeps serving.
+#[test]
+fn removed_backend_gets_an_error_and_the_connection_keeps_serving() {
+    use pte_server::protocol::write_frame;
+    let (endpoint, handle, serving) = boot(1);
+    let (mut raw, mut reader) = raw_connection(&endpoint);
+
+    raw.write_all(
+        br#"{"Submit":{"id":1,"request":{"scenario":"case-study","config":null,"leased":true,"query":"PteSafety","backend":"Portfolio","budget":{}}}}"#,
+    )
+    .expect("write");
+    raw.write_all(b"\n").expect("write");
+    match read_frame::<ServerFrame>(&mut reader).unwrap() {
+        Some(ServerFrame::Error { message, .. }) => {
+            assert!(message.contains("Portfolio"), "{message}")
+        }
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+
+    let submit = ClientFrame::Submit {
+        id: 2,
+        request: fast_request(),
+        no_cache: None,
+    };
+    write_frame(&mut raw, &submit).expect("write");
+    loop {
+        match read_frame::<ServerFrame>(&mut reader).unwrap() {
+            Some(ServerFrame::Report { id, report, .. }) => {
+                assert_eq!(id, 2);
+                assert_eq!(report.verdict, Verdict::Safe);
+                break;
+            }
+            Some(ServerFrame::Accepted { .. } | ServerFrame::Progress { .. }) => {}
+            other => panic!("expected the request's frames, got {other:?}"),
+        }
+    }
     stop(&handle, serving);
 }
 

@@ -1,10 +1,10 @@
 //! One front door: the unified verification session layer.
 //!
 //! Every backend of this crate — the analytic c1–c7 check, the
-//! bounded-exhaustive explorer, the Monte-Carlo sampler, and the
-//! symbolic zone engine — historically exposed its own entry point,
-//! verdict type, and budget knobs, and every consumer (`campaign`,
-//! `zprobe`, the agreement tests) re-implemented the same dispatch and
+//! symbolic zone engine, and the compositional assume-guarantee
+//! checker — historically exposed its own entry point, verdict type,
+//! and budget knobs, and every consumer (`campaign`, `zprobe`, the
+//! agreement tests) re-implemented the same dispatch and
 //! verdict-mapping glue. This module replaces that glue with a single
 //! query API in the style of ECDAR/Reveaal: build a
 //! [`VerificationRequest`] (scenario-or-config × [`Query`] ×
@@ -25,14 +25,6 @@
 //!   (leased arm, conditions satisfied) in microseconds but can never
 //!   falsify — a violated condition yields
 //!   [`Inconclusive::Unknown`], not `Unsafe`.
-//! * **exhaustive** ([`crate::exhaustive::explore`]) enumerates all
-//!   `2^depth × 2` loss fates of one driver script. Its `Unsafe` is a
-//!   real, replayable counter-example; its `Safe` is a *bounded* proof
-//!   — the recorded [`BackendStats::depth`] says how bounded.
-//! * **montecarlo** samples random loss assignments. It can only
-//!   falsify: zero observed violations yield
-//!   [`Inconclusive::Unknown`] with a Wilson confidence interval,
-//!   never `Safe`.
 //! * **symbolic** ([`crate::symbolic::verify_symbolic_with`]) covers
 //!   all real-valued timings and all loss fates at once: both `Safe`
 //!   and `Unsafe` are proof-grade over the timed abstraction.
@@ -44,46 +36,55 @@
 //!   `N`). When it does not close it *falls back to the monolithic
 //!   symbolic engine* under the same limits, so it is never spuriously
 //!   safe — and never reports `Unsafe` from the abstraction alone.
-//!   Explicit-only (never chosen by `Auto`/`Portfolio`).
+//!   Explicit-only (never chosen by `Auto`).
 //!
-//! ## Portfolio racing and cancellation
+//! The bounded-exhaustive explorer and the Monte-Carlo sampler
+//! ([`crate::exhaustive`], [`crate::montecarlo`]) sample concrete runs;
+//! they are library code for the paper's figures and tables, not
+//! request backends.
 //!
-//! [`BackendSel::Portfolio`] races every backend applicable to the
-//! query and returns the **first conclusive** verdict
-//! ([`Verdict::Safe`] or [`Verdict::Unsafe`]), firing a cooperative
-//! [`CancelToken`] at the losers — the symbolic engine stops within one
-//! BFS layer, the exhaustive explorer and the sampler within one run
-//! per worker. Racers are admitted through `available_parallelism - 1`
-//! slots in expected-cost order (analytic → symbolic → exhaustive →
-//! Monte-Carlo), so a narrow machine tries the cheap proof-grade
-//! backends first instead of drowning them in simulator threads, and a
-//! wide machine races everything at once; a racer cancelled before its
-//! slot opens never runs at all. Losing backends surface in
-//! [`VerificationReport::backends`] as `Inconclusive(Cancelled)` with
-//! whatever stats they had accumulated; the report's top-level verdict
-//! and witness come from the winner alone, so partial loser output
-//! never leaks into the result. [`BackendSel::Auto`] and `Portfolio`
-//! requests default to `max_workers = 0` (one symbolic worker per CPU)
-//! so the front door is fast out of the box; an explicit
-//! [`Budget::max_workers`] always wins.
+//! ## `Auto`: the analytic check, then the zone search
+//!
+//! [`BackendSel::Auto`] runs its backends in order on the calling
+//! thread and stops at the first conclusive verdict. For
+//! [`Query::PteSafety`] it runs the analytic check first — Theorem 1
+//! makes it a proof for every leased configuration that satisfies
+//! c1–c7 — and the symbolic engine only when the analytic check is
+//! inconclusive (a violated condition, or the lease-stripped arm).
+//! [`Query::LocationReach`] runs the symbolic engine and
+//! [`Query::ConditionCheck`] the analytic check. The report lists the
+//! backends that ran, in run order, and takes its verdict, witness and
+//! tripped limit from the last one, so every `Unsafe` comes from the
+//! symbolic engine. `Auto` requests default to `max_workers = 0` (one
+//! symbolic worker per CPU) so the front door is fast out of the box;
+//! an explicit [`Budget::max_workers`] always wins.
+//!
+//! A [`CancelToken`] passed to [`VerificationRequest::run_with`] stops
+//! the symbolic engine within one BFS layer; the report then says
+//! `Inconclusive(Cancelled)`, never `Safe` or `Unsafe`.
 //!
 //! ## Example
 //!
 //! ```
-//! use pte_verify::api::{BackendSel, VerificationRequest, Verdict};
+//! use pte_verify::api::{VerificationRequest, Verdict};
 //!
-//! let report = VerificationRequest::scenario("case-study")
-//!     .leased(true)
-//!     .backend(BackendSel::Symbolic)
-//!     .max_states(60_000)
+//! // `Auto` (the default selection) proves the leased case study with
+//! // the analytic check…
+//! let leased = VerificationRequest::scenario("case-study")
 //!     .run()
 //!     .expect("case-study is a registry scenario");
-//! assert_eq!(report.verdict, Verdict::Safe);
-//! assert!(report.winner.as_deref() == Some("symbolic"));
+//! assert_eq!(leased.verdict, Verdict::Safe);
+//! assert_eq!(leased.winner.as_deref(), Some("analytic"));
+//!
+//! // …and falsifies the lease-stripped baseline on the zone engine.
+//! let stripped = VerificationRequest::scenario("case-study")
+//!     .leased(false)
+//!     .run()
+//!     .expect("case-study is a registry scenario");
+//! assert_eq!(stripped.verdict, Verdict::Unsafe);
+//! assert_eq!(stripped.winner.as_deref(), Some("symbolic"));
 //! ```
 
-use crate::exhaustive;
-use crate::montecarlo::wilson_ci;
 use pte_contracts::{
     check_compositional, CompositionalLimits, CompositionalStats, CompositionalVerdict, EnvProfile,
     RefineLimits, PROFILE_NAMES,
@@ -92,26 +93,12 @@ use pte_core::pattern::{check_conditions, LeaseConfig};
 use pte_tracheotomy::registry;
 use pte_zones::{
     check_monitored, ArtifactSink, CancelToken, Limits, LocationReachMonitor, LoweredPattern,
-    ModelAnalysis, PassedArtifact, Progress, ProgressFn, Scheduler, SymbolicVerdict, TrippedLimit,
-    ZonesError,
+    ModelAnalysis, PassedArtifact, Progress, ProgressFn, SymbolicVerdict, TrippedLimit, ZonesError,
 };
 use serde::{Deserialize, Number, Serialize, Value};
 use std::fmt;
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Default bounded-exhaustive decision depth when [`Budget::depth`] is
-/// unset (the `campaign` default: `2^6 × 2 = 128` runs).
-pub const DEFAULT_DEPTH: usize = 6;
-
-/// Default Monte-Carlo trial count when [`Budget::trials`] is unset.
-pub const DEFAULT_TRIALS: usize = 64;
-
-/// Loss-decision depth of one Monte-Carlo trial: each trial drives a
-/// random assignment of the first `MC_MASK_DEPTH` wireless
-/// transmissions (plus a random tail default) through the simulator.
-pub const MC_MASK_DEPTH: usize = 16;
 
 /// What to check.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -150,10 +137,6 @@ impl Query {
 pub enum BackendSel {
     /// The analytic c1–c7 check (conservative; see the module docs).
     Analytic,
-    /// The bounded-exhaustive loss-fate explorer.
-    Exhaustive,
-    /// The Monte-Carlo loss-fate sampler (falsification only).
-    MonteCarlo,
     /// The symbolic zone engine (proof-grade both ways).
     Symbolic,
     /// Compositional assume-guarantee verification
@@ -161,15 +144,13 @@ pub enum BackendSel {
     /// refinement plus small abstract pair checks, falling back to the
     /// monolithic symbolic engine whenever the argument has a gap — so
     /// its `Safe` is proof-grade and it can never be *spuriously* safe.
-    /// Explicit-only: `Auto`/`Portfolio` never select it.
+    /// Explicit-only: `Auto` never selects it.
     Compositional,
-    /// Pick one backend for the query: `ConditionCheck` → analytic,
-    /// everything else → symbolic, with `max_workers` defaulting to `0`
-    /// (auto).
+    /// Run backends in order and stop at the first conclusive verdict:
+    /// `PteSafety` → analytic, then symbolic; `LocationReach` →
+    /// symbolic; `ConditionCheck` → analytic. `max_workers` defaults to
+    /// `0` (auto).
     Auto,
-    /// Race every applicable backend on threads; first conclusive
-    /// verdict wins, losers are cancelled cooperatively.
-    Portfolio,
 }
 
 /// Unified resource budget across all backends. Every field is
@@ -183,32 +164,14 @@ pub struct Budget {
     /// names a registry scenario, otherwise the engine default
     /// ([`Limits::default`]).
     pub max_states: Option<usize>,
-    /// Wall-clock budget in milliseconds. Applied natively by the
-    /// symbolic engine (checked at BFS round boundaries) and as a
-    /// global deadline by `Portfolio` (all racers are cancelled when it
-    /// expires). Stand-alone exhaustive / Monte-Carlo runs are bounded
-    /// by their enumeration counts (`depth`, `trials`) instead.
+    /// Wall-clock budget in milliseconds for each zone search of the
+    /// request, checked at BFS round boundaries. The analytic check
+    /// ignores it.
     pub max_wall_ms: Option<u64>,
     /// Symbolic worker threads (`0` = one per CPU). Unset: `0` for
-    /// [`BackendSel::Auto`] / [`BackendSel::Portfolio`] requests, `1`
-    /// (the reproducible library default) otherwise.
+    /// [`BackendSel::Auto`] requests, `1` (the reproducible library
+    /// default) otherwise.
     pub max_workers: Option<usize>,
-    /// Bounded-exhaustive decision depth. Unset: [`DEFAULT_DEPTH`].
-    pub depth: Option<usize>,
-    /// Monte-Carlo trial count. Unset: [`DEFAULT_TRIALS`].
-    pub trials: Option<usize>,
-    /// Monte-Carlo base seed (trials use `seed..seed + trials`).
-    pub seed: u64,
-    /// Symbolic symmetry quotient ([`Limits::symmetry`]). Unset: the
-    /// engine default (on — and self-gating, so asymmetric models are
-    /// unaffected either way).
-    pub symmetry: Option<bool>,
-    /// Run the symbolic search under the work-stealing frontier
-    /// scheduler ([`pte_zones::Scheduler::WorkStealing`]) instead of
-    /// the default round barrier. Verdicts and counter-example text
-    /// are identical; per-round statistics are not bit-stable, which
-    /// is why the knob is opt-in. Unset: round barrier.
-    pub work_stealing: Option<bool>,
     /// Seed the symbolic search from a prior run's passed-list
     /// artifact when the scheduler supplies one (see
     /// [`VerificationRequest::parent_key`] and
@@ -275,8 +238,7 @@ pub struct VerificationRequest {
 /// Why a backend (or the whole request) failed to reach a verdict.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Inconclusive {
-    /// A [`CancelToken`] ended the search (portfolio loser, caller
-    /// cancellation, or an expired portfolio deadline).
+    /// A [`CancelToken`] ended the search.
     Cancelled,
     /// A resource limit tripped before the search finished; the string
     /// names the limit (e.g. `"state budget (max_states = 10)"`).
@@ -284,11 +246,11 @@ pub enum Inconclusive {
     /// The backend failed to execute (build/lowering/simulation
     /// infrastructure error) — never conflated with a verdict.
     Error(String),
-    /// The backend does not support the query (e.g. Monte-Carlo asked
-    /// for `LocationReach`).
+    /// The backend does not support the query (e.g. the analytic check
+    /// asked for `LocationReach`).
     Unsupported(String),
     /// The backend ran to completion but its method cannot decide this
-    /// instance (analytic conservatism, Monte-Carlo found nothing).
+    /// instance (analytic conservatism).
     Unknown(String),
 }
 
@@ -311,8 +273,7 @@ impl fmt::Display for Inconclusive {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Verdict {
     /// The property holds (to the producing backend's strength: a
-    /// symbolic proof, a bounded-exhaustive sweep, or analytic
-    /// sufficiency).
+    /// symbolic or compositional proof, or analytic sufficiency).
     Safe,
     /// The property is violated; [`VerificationReport::witness`] (and
     /// the per-backend [`BackendStats::witness`]) carries the
@@ -324,8 +285,7 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    /// `true` for `Safe` / `Unsafe` (what a portfolio race accepts as a
-    /// win).
+    /// `true` for `Safe` / `Unsafe` (where [`BackendSel::Auto`] stops).
     pub fn is_conclusive(&self) -> bool {
         matches!(self, Verdict::Safe | Verdict::Unsafe)
     }
@@ -356,11 +316,10 @@ impl fmt::Display for Verdict {
 /// One backend's contribution to a report: its verdict, its native
 /// rendered verdict text, and its resource/stat counters. Fields that a
 /// backend does not populate stay at their zero defaults (e.g.
-/// `states` for the exhaustive explorer).
+/// `states` for the analytic check).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct BackendStats {
-    /// Backend name: `"analytic"`, `"exhaustive"`, `"montecarlo"`, or
-    /// `"symbolic"`.
+    /// Backend name: `"analytic"`, `"symbolic"`, or `"compositional"`.
     pub backend: String,
     /// The backend's verdict (see the module docs for per-backend
     /// strength).
@@ -387,21 +346,11 @@ pub struct BackendStats {
     /// artifact instead of being re-explored. `0` on every cold run;
     /// equal to `states` when a warm start fully transferred the proof.
     pub warm_seeded: usize,
-    /// Exhaustive: completed runs. Monte-Carlo: completed trials.
-    pub runs: usize,
-    /// Exhaustive: effective decision depth.
-    pub depth: usize,
-    /// Exhaustive / Monte-Carlo: violating runs found.
-    pub violations: usize,
-    /// Exhaustive / Monte-Carlo: infrastructure errors.
-    pub errors: usize,
     /// The tripped limit, rendered, when a budget ended the search.
     pub tripped: Option<String>,
     /// Build / execution error text, when the backend failed to run.
     pub error: Option<String>,
-    /// `true` when a [`CancelToken`] stopped this backend (portfolio
-    /// losers report their final progress snapshot here and then go
-    /// quiet).
+    /// `true` when a [`CancelToken`] stopped this backend.
     pub cancelled: bool,
     /// Compositional: per-stage counters (refinement pairs explored,
     /// contracts deduplicated/cached, abstract pair-network states).
@@ -465,20 +414,17 @@ pub struct VerificationReport {
     pub scenario: Option<String>,
     /// Which arm was checked.
     pub leased: bool,
-    /// The top-level verdict — for portfolio requests, the winner's
-    /// verdict verbatim.
+    /// The top-level verdict: the last backend's verdict verbatim.
     pub verdict: Verdict,
-    /// Counter-example / witness of the deciding backend (byte-for-byte
-    /// the winner's own witness; losers never contribute).
+    /// Counter-example / witness of the last backend (byte-for-byte its
+    /// own witness).
     pub witness: Option<String>,
     /// Name of the backend that produced [`VerificationReport::verdict`]
     /// (`None` when no backend reached a conclusive verdict).
     pub winner: Option<String>,
-    /// The deciding backend's tripped limit, when inconclusive on
-    /// budget.
+    /// The last backend's tripped limit, when inconclusive on budget.
     pub tripped: Option<String>,
-    /// Every backend that ran, in a fixed backend order (analytic,
-    /// exhaustive, montecarlo, symbolic) independent of finish order.
+    /// Every backend that ran, in run order.
     pub backends: Vec<BackendStats>,
     /// Static model analysis of the checked arm (`None` only when the
     /// system does not lower to the clock-like fragment).
@@ -497,20 +443,18 @@ impl VerificationReport {
         self.backends.iter().find(|b| b.backend == name)
     }
 
-    /// The deciding backend's stats: the winner's when there is one,
-    /// otherwise the first backend that ran.
+    /// The deciding backend's stats: the last backend that ran (`Auto`
+    /// stops at the first conclusive verdict, so this is the winner's
+    /// when there is one).
     ///
     /// # Panics
     ///
     /// Panics on an empty report (cannot happen for reports produced by
     /// [`VerificationRequest::run`]).
     pub fn primary(&self) -> &BackendStats {
-        if let Some(w) = &self.winner {
-            if let Some(b) = self.backend(w) {
-                return b;
-            }
-        }
-        &self.backends[0]
+        self.backends
+            .last()
+            .expect("a report from `run` lists the backends that ran")
     }
 }
 
@@ -601,10 +545,7 @@ pub fn unknown_contract_diagnostic(name: &str) -> String {
 
 impl std::error::Error for ApiError {}
 
-/// Caller-facing progress sink: `(backend name, snapshot)`. Portfolio
-/// requests stream every racer's snapshots through one sink — watching
-/// a loser's snapshots stop is how cancellation is observable from the
-/// outside.
+/// Caller-facing progress sink: `(backend name, snapshot)`.
 pub type ProgressSink = Arc<dyn Fn(&str, &Progress) + Send + Sync>;
 
 /// Passed-list artifact plumbing for one run, threaded by schedulers
@@ -633,7 +574,7 @@ pub struct ArtifactIo {
 /// [`Query`], [`BackendSel`], or the normalized budget changes, so a
 /// persisted report cache can never serve a report produced under a
 /// different request schema.
-pub const CACHE_KEY_VERSION: u64 = 3;
+pub const CACHE_KEY_VERSION: u64 = 4;
 
 /// FNV-1a, 64-bit: the dependency-free stable hash behind
 /// [`VerificationRequest::cache_key`]. Not cryptographic — the cache it
@@ -669,12 +610,10 @@ fn canonical_value(v: &Value) -> Value {
     }
 }
 
-/// The concrete (non-meta) backends, in report order.
+/// The concrete (non-meta) backends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Concrete {
     Analytic,
-    Exhaustive,
-    MonteCarlo,
     Symbolic,
     Compositional,
 }
@@ -683,8 +622,6 @@ impl Concrete {
     fn name(self) -> &'static str {
         match self {
             Concrete::Analytic => "analytic",
-            Concrete::Exhaustive => "exhaustive",
-            Concrete::MonteCarlo => "montecarlo",
             Concrete::Symbolic => "symbolic",
             Concrete::Compositional => "compositional",
         }
@@ -758,36 +695,10 @@ impl VerificationRequest {
         self
     }
 
-    /// Sets the bounded-exhaustive decision depth.
-    pub fn depth(mut self, depth: usize) -> Self {
-        self.budget.depth = Some(depth);
-        self
-    }
-
-    /// Sets the Monte-Carlo trial count.
-    pub fn trials(mut self, trials: usize) -> Self {
-        self.budget.trials = Some(trials);
-        self
-    }
-
     /// Sets the wall-clock budget in milliseconds (see
     /// [`Budget::max_wall_ms`] for which backends honour it).
     pub fn max_wall_ms(mut self, ms: u64) -> Self {
         self.budget.max_wall_ms = Some(ms);
-        self
-    }
-
-    /// Enables or disables the symbolic symmetry quotient (see
-    /// [`Budget::symmetry`]).
-    pub fn symmetry(mut self, on: bool) -> Self {
-        self.budget.symmetry = Some(on);
-        self
-    }
-
-    /// Selects the work-stealing frontier scheduler (see
-    /// [`Budget::work_stealing`]).
-    pub fn work_stealing(mut self, on: bool) -> Self {
-        self.budget.work_stealing = Some(on);
         self
     }
 
@@ -825,46 +736,34 @@ impl VerificationRequest {
     }
 
     /// [`VerificationRequest::run`] with cooperative cancellation and
-    /// streaming progress: firing `cancel` stops every running backend
-    /// within one BFS layer / one run per worker and yields
-    /// `Inconclusive(Cancelled)`; `progress` receives every backend's
-    /// round-boundary snapshots, labelled by backend name.
+    /// streaming progress: firing `cancel` stops the symbolic engine
+    /// within one BFS layer and yields `Inconclusive(Cancelled)`;
+    /// `progress` receives the symbolic engine's round-boundary
+    /// snapshots, labelled by backend name.
     pub fn run_with(
         &self,
         cancel: &CancelToken,
         progress: Option<ProgressSink>,
     ) -> Result<VerificationReport, ApiError> {
-        self.dispatch(cancel, progress, None, &ArtifactIo::default())
+        self.run_with_artifacts(cancel, progress, None, &ArtifactIo::default())
     }
 
-    /// Scheduler hook: [`VerificationRequest::run_with`] with a hard cap
-    /// of `slots` worker threads (clamped to ≥ 1), for callers — like
+    /// [`VerificationRequest::run_with`] for schedulers — like
     /// `pte-verifyd` — that admit requests through a **shared** worker
-    /// budget and must keep N concurrent requests from oversubscribing
-    /// the machine. The cap bounds both the portfolio's racer-admission
-    /// slots (replacing the per-request `available_parallelism - 1`
-    /// default) and the symbolic engine's worker pool (`max_workers = 0`
-    /// resolves to `slots` instead of one-per-CPU; an explicit worker
-    /// count is clamped to `slots`). Verdicts and witnesses are
-    /// unaffected — the engine is worker-count-deterministic — only the
-    /// degree of parallelism is.
-    pub fn run_with_slots(
-        &self,
-        cancel: &CancelToken,
-        progress: Option<ProgressSink>,
-        slots: usize,
-    ) -> Result<VerificationReport, ApiError> {
-        self.dispatch(cancel, progress, Some(slots.max(1)), &ArtifactIo::default())
-    }
-
-    /// [`VerificationRequest::run_with_slots`] plus passed-list
-    /// artifact plumbing ([`ArtifactIo`]): `io.warm` seeds the
-    /// symbolic engine from a prior run's proof (subject to the
-    /// engine's soundness gates — an inadmissible artifact silently
-    /// runs cold), `io.capture` receives this run's artifact for
-    /// persistence. `slots = None` means uncapped, like
-    /// [`VerificationRequest::run_with`]. Only the symbolic backend
-    /// consumes either side; the other backends ignore both.
+    /// budget and thread passed-list artifacts between runs.
+    ///
+    /// * `slots` caps the symbolic worker pool (clamped to ≥ 1) so N
+    ///   concurrent requests cannot oversubscribe the machine:
+    ///   `max_workers = 0` resolves to `slots` instead of one-per-CPU,
+    ///   and an explicit worker count is clamped to it. `None` means
+    ///   uncapped. Verdicts and witnesses are unaffected — the engine
+    ///   is worker-count-deterministic — only the degree of parallelism
+    ///   is.
+    /// * `io.warm` seeds the symbolic engine from a prior run's proof
+    ///   (subject to the engine's soundness gates — an inadmissible
+    ///   artifact silently runs cold), and `io.capture` receives this
+    ///   run's artifact for persistence. Only the symbolic engine
+    ///   consumes either side.
     pub fn run_with_artifacts(
         &self,
         cancel: &CancelToken,
@@ -872,18 +771,7 @@ impl VerificationRequest {
         slots: Option<usize>,
         io: &ArtifactIo,
     ) -> Result<VerificationReport, ApiError> {
-        self.dispatch(cancel, progress, slots.map(|s| s.max(1)), io)
-    }
-
-    /// Shared driver behind [`VerificationRequest::run_with`] (no cap)
-    /// and [`VerificationRequest::run_with_slots`] (capped).
-    fn dispatch(
-        &self,
-        cancel: &CancelToken,
-        progress: Option<ProgressSink>,
-        cap: Option<usize>,
-        io: &ArtifactIo,
-    ) -> Result<VerificationReport, ApiError> {
+        let cap = slots.map(|s| s.max(1));
         let (cfg, scenario_name, recommended) = self.resolve()?;
         self.resolved_profile()?;
         let started = Instant::now();
@@ -891,41 +779,42 @@ impl VerificationRequest {
             lowered: LoweredPattern::new(&cfg, self.leased),
             cfg,
         };
-        let members = self.members();
-        let mut report = match self.backend {
-            BackendSel::Portfolio => {
-                self.run_portfolio(&arm, recommended, &members, cancel, progress, cap, io)
+        let mut backends = Vec::new();
+        for &backend in self.members() {
+            let stats = self.run_one(
+                backend,
+                &arm,
+                recommended,
+                cancel,
+                progress.as_ref(),
+                cap,
+                io,
+            );
+            let conclusive = stats.verdict.is_conclusive();
+            backends.push(stats);
+            if conclusive {
+                break;
             }
-            _ => {
-                let only = members[0];
-                let stats =
-                    self.run_one(only, &arm, recommended, cancel, progress.as_ref(), cap, io);
-                let conclusive = stats.verdict.is_conclusive();
-                VerificationReport {
-                    scenario: None,
-                    leased: self.leased,
-                    verdict: stats.verdict.clone(),
-                    witness: stats.witness.clone(),
-                    winner: conclusive.then(|| stats.backend.clone()),
-                    tripped: stats.tripped.clone(),
-                    backends: vec![stats],
-                    analysis: None,
-                    compositional: None,
-                    wall_ms: 0.0,
-                }
-            }
-        };
-        report.scenario = scenario_name;
-        report.compositional = report.backends.iter().find_map(|b| b.compositional.clone());
-        // Attach the static analysis summary: the one the symbolic
-        // search read, deterministic per (config, arm).
-        report.analysis = arm
-            .lowered
-            .as_ref()
-            .ok()
-            .map(|p| AnalysisSummary::from(&p.analysis));
-        report.wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        Ok(report)
+        }
+        let last = backends.last().expect("every selection runs a backend");
+        Ok(VerificationReport {
+            scenario: scenario_name,
+            leased: self.leased,
+            verdict: last.verdict.clone(),
+            witness: last.witness.clone(),
+            winner: last.verdict.is_conclusive().then(|| last.backend.clone()),
+            tripped: last.tripped.clone(),
+            compositional: last.compositional.clone(),
+            // The static analysis summary the symbolic search read,
+            // deterministic per (config, arm).
+            analysis: arm
+                .lowered
+                .as_ref()
+                .ok()
+                .map(|p| AnalysisSummary::from(&p.analysis)),
+            wall_ms: started.elapsed().as_secs_f64() * 1e3,
+            backends,
+        })
     }
 
     /// Resolves the scenario-or-config pair into a configuration, the
@@ -945,47 +834,32 @@ impl VerificationRequest {
         }
     }
 
-    /// The concrete backends this request runs, in report order.
-    fn members(&self) -> Vec<Concrete> {
-        let applicable: &[Concrete] = match self.query {
-            Query::PteSafety => &[
-                Concrete::Analytic,
-                Concrete::Exhaustive,
-                Concrete::MonteCarlo,
-                Concrete::Symbolic,
-            ],
-            Query::LocationReach { .. } => &[Concrete::Symbolic],
-            Query::ConditionCheck => &[Concrete::Analytic],
-        };
+    /// The concrete backends this request may run, in run order.
+    fn members(&self) -> &'static [Concrete] {
         match self.backend {
-            BackendSel::Analytic => vec![Concrete::Analytic],
-            BackendSel::Exhaustive => vec![Concrete::Exhaustive],
-            BackendSel::MonteCarlo => vec![Concrete::MonteCarlo],
-            BackendSel::Symbolic => vec![Concrete::Symbolic],
-            // Explicit-only: the compositional route is never chosen by
-            // `Auto` and never races in a `Portfolio` (its fallback
-            // already *is* the monolithic symbolic engine, so racing it
-            // against `Symbolic` would only duplicate work).
-            BackendSel::Compositional => vec![Concrete::Compositional],
-            BackendSel::Auto => vec![match self.query {
-                Query::ConditionCheck => Concrete::Analytic,
-                _ => Concrete::Symbolic,
-            }],
-            BackendSel::Portfolio => applicable.to_vec(),
+            BackendSel::Analytic => &[Concrete::Analytic],
+            BackendSel::Symbolic => &[Concrete::Symbolic],
+            // Explicit-only: its fallback already *is* the monolithic
+            // symbolic engine.
+            BackendSel::Compositional => &[Concrete::Compositional],
+            BackendSel::Auto => match self.query {
+                Query::PteSafety => &[Concrete::Analytic, Concrete::Symbolic],
+                Query::LocationReach { .. } => &[Concrete::Symbolic],
+                Query::ConditionCheck => &[Concrete::Analytic],
+            },
         }
     }
 
     /// The effective symbolic worker count: an explicit
-    /// [`Budget::max_workers`] wins; otherwise `Auto`/`Portfolio`
-    /// default to `0` (one worker per CPU) and the explicit single
-    /// backends to the engine's reproducible default of `1`. Public so
-    /// schedulers can account for a request before running it (`0`
-    /// means "as wide as allowed" — see
-    /// [`VerificationRequest::worker_cost`] for the machine-resolved
-    /// slot count).
+    /// [`Budget::max_workers`] wins; otherwise `Auto` defaults to `0`
+    /// (one worker per CPU) and the explicit backends to the engine's
+    /// reproducible default of `1`. Public so schedulers can account
+    /// for a request before running it (`0` means "as wide as allowed"
+    /// — see [`VerificationRequest::worker_cost`] for the
+    /// machine-resolved slot count).
     pub fn resolved_workers(&self) -> usize {
         self.budget.max_workers.unwrap_or(match self.backend {
-            BackendSel::Auto | BackendSel::Portfolio => 0,
+            BackendSel::Auto => 0,
             _ => 1,
         })
     }
@@ -993,28 +867,19 @@ impl VerificationRequest {
     /// The number of worker slots this request occupies on *this*
     /// machine when run uncapped — what a shared-budget scheduler
     /// should reserve before calling
-    /// [`VerificationRequest::run_with_slots`] with the grant. A
-    /// portfolio costs its racer-admission slots
-    /// (`min(available_parallelism - 1, members)`); a symbolic request
-    /// its resolved worker count (`0` → one per CPU); the
-    /// simulation-fan-out backends (exhaustive, Monte-Carlo) reserve
-    /// the whole machine because their internal worker pools are
-    /// machine-wide; the analytic check is one slot.
+    /// [`VerificationRequest::run_with_artifacts`] with the grant. A
+    /// request that runs only the analytic check is one slot; one that
+    /// may run a zone search costs its resolved worker count (`0` →
+    /// one per CPU).
     pub fn worker_cost(&self) -> usize {
-        let ap = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2);
-        let members = self.members();
-        match self.backend {
-            BackendSel::Portfolio => ap.saturating_sub(1).max(1).min(members.len()),
-            _ => match members[0] {
-                Concrete::Analytic => 1,
-                Concrete::Symbolic | Concrete::Compositional => match self.resolved_workers() {
-                    0 => ap,
-                    w => w,
-                },
-                Concrete::Exhaustive | Concrete::MonteCarlo => ap,
-            },
+        if self.members() == [Concrete::Analytic] {
+            return 1;
+        }
+        match self.resolved_workers() {
+            0 => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(2),
+            w => w,
         }
     }
 
@@ -1031,9 +896,9 @@ impl VerificationRequest {
     ///   request collide (the scenario resolves to its config, and its
     ///   recommended state budget is folded into the normalized
     ///   budget);
-    /// * unset budget fields hash as their resolved defaults
-    ///   ([`DEFAULT_DEPTH`], [`DEFAULT_TRIALS`], the engine's default
-    ///   state budget, the backend policy's worker default).
+    /// * unset budget fields hash as their resolved defaults (the
+    ///   engine's default state budget, the backend policy's worker
+    ///   default, the refinement checker's pair budget).
     ///
     /// **Stability caveats.** The digest is pinned by unit tests and
     /// stable across processes and machines *for one schema version*:
@@ -1065,23 +930,6 @@ impl VerificationRequest {
             (
                 "max_workers".to_string(),
                 num(self.resolved_workers() as u64),
-            ),
-            (
-                "depth".to_string(),
-                num(self.budget.depth.unwrap_or(DEFAULT_DEPTH) as u64),
-            ),
-            (
-                "trials".to_string(),
-                num(self.budget.trials.unwrap_or(DEFAULT_TRIALS) as u64),
-            ),
-            ("seed".to_string(), num(self.budget.seed)),
-            (
-                "symmetry".to_string(),
-                Value::Bool(self.resolved_symmetry()),
-            ),
-            (
-                "work_stealing".to_string(),
-                Value::Bool(self.resolved_scheduler() == Scheduler::WorkStealing),
             ),
             (
                 "refine_pairs".to_string(),
@@ -1128,7 +976,7 @@ impl VerificationRequest {
     }
 
     /// Builds the symbolic engine limits for this request. `cap` is the
-    /// scheduler grant from [`VerificationRequest::run_with_slots`]:
+    /// scheduler grant from [`VerificationRequest::run_with_artifacts`]:
     /// it resolves an auto (`0`) worker count and clamps an explicit
     /// one.
     fn limits(
@@ -1154,8 +1002,6 @@ impl VerificationRequest {
             max_wall: self.budget.max_wall_ms.map(Duration::from_millis),
             cancel: Some(cancel),
             progress,
-            symmetry: self.resolved_symmetry(),
-            scheduler: self.resolved_scheduler(),
             warm_start: if self.budget.warm_start.unwrap_or(true) {
                 io.warm.clone()
             } else {
@@ -1164,12 +1010,6 @@ impl VerificationRequest {
             capture: io.capture.clone(),
             ..Limits::default()
         }
-    }
-
-    /// The symmetry knob with its default applied (the engine default:
-    /// on).
-    fn resolved_symmetry(&self) -> bool {
-        self.budget.symmetry.unwrap_or(Limits::default().symmetry)
     }
 
     /// The environment-contract profile with its default applied
@@ -1183,15 +1023,6 @@ impl VerificationRequest {
             Some(name) => {
                 EnvProfile::parse(name).map_err(|name| ApiError::UnknownContract { name })
             }
-        }
-    }
-
-    /// The scheduler the request resolves to (default: round barrier).
-    fn resolved_scheduler(&self) -> Scheduler {
-        if self.budget.work_stealing.unwrap_or(false) {
-            Scheduler::WorkStealing
-        } else {
-            Scheduler::RoundBarrier
         }
     }
 
@@ -1214,8 +1045,6 @@ impl VerificationRequest {
         });
         match backend {
             Concrete::Analytic => self.run_analytic(&arm.cfg),
-            Concrete::Exhaustive => self.run_exhaustive(&arm.cfg, cancel, labelled.as_ref()),
-            Concrete::MonteCarlo => self.run_montecarlo(&arm.cfg, cancel, labelled.as_ref()),
             Concrete::Symbolic => self.run_symbolic(arm, recommended, cancel, labelled, cap, io),
             Concrete::Compositional => {
                 self.run_compositional(arm, recommended, cancel, labelled, cap, io)
@@ -1289,40 +1118,7 @@ impl VerificationRequest {
                 return stats;
             }
         };
-        match outcome {
-            Ok(verdict) => {
-                stats.rendered = format!("{verdict}");
-                if let Some(s) = verdict.stats() {
-                    stats.states = s.states;
-                    stats.transitions = s.transitions;
-                    stats.frontier = s.frontier;
-                    stats.peak_passed_bytes = s.peak_passed_bytes;
-                    stats.peak_passed_bytes_full = s.peak_passed_bytes_full;
-                    stats.warm_seeded = s.warm_seeded;
-                }
-                stats.verdict = match verdict {
-                    SymbolicVerdict::Safe(_) => Verdict::Safe,
-                    SymbolicVerdict::Unsafe(ce) => {
-                        stats.witness = Some(format!("{ce}"));
-                        Verdict::Unsafe
-                    }
-                    SymbolicVerdict::OutOfBudget { tripped, .. } => {
-                        stats.tripped = Some(tripped.to_string());
-                        if tripped == TrippedLimit::Cancelled {
-                            stats.cancelled = true;
-                            Verdict::Inconclusive(Inconclusive::Cancelled)
-                        } else {
-                            Verdict::Inconclusive(Inconclusive::Budget(tripped.to_string()))
-                        }
-                    }
-                };
-            }
-            Err(e) => {
-                stats.rendered = format!("error: {e}");
-                stats.error = Some(e.clone());
-                stats.verdict = Verdict::Inconclusive(Inconclusive::Error(e));
-            }
-        }
+        record_symbolic(&mut stats, outcome);
         stats.wall_ms = t.elapsed().as_secs_f64() * 1e3;
         stats
     }
@@ -1424,50 +1220,13 @@ impl VerificationRequest {
                         // limits. The fallback reason (and refinement
                         // counter-example, if any) is preserved in the
                         // rendered text.
-                        let mono = arm.check(&limits);
-                        let mut rendered =
+                        stats.rendered =
                             format!("compositional argument fell back to monolithic: {reason}\n");
                         if let Some(ce) = &counter_example {
-                            rendered.push_str(ce);
-                            rendered.push('\n');
+                            stats.rendered.push_str(ce);
+                            stats.rendered.push('\n');
                         }
-                        match mono {
-                            Ok(verdict) => {
-                                rendered.push_str(&format!("{verdict}"));
-                                if let Some(s) = verdict.stats() {
-                                    stats.states = s.states;
-                                    stats.transitions = s.transitions;
-                                    stats.frontier = s.frontier;
-                                    stats.peak_passed_bytes = s.peak_passed_bytes;
-                                    stats.peak_passed_bytes_full = s.peak_passed_bytes_full;
-                                    stats.warm_seeded = s.warm_seeded;
-                                }
-                                stats.verdict = match verdict {
-                                    SymbolicVerdict::Safe(_) => Verdict::Safe,
-                                    SymbolicVerdict::Unsafe(ce) => {
-                                        stats.witness = Some(format!("{ce}"));
-                                        Verdict::Unsafe
-                                    }
-                                    SymbolicVerdict::OutOfBudget { tripped, .. } => {
-                                        stats.tripped = Some(tripped.to_string());
-                                        if tripped == TrippedLimit::Cancelled {
-                                            stats.cancelled = true;
-                                            Verdict::Inconclusive(Inconclusive::Cancelled)
-                                        } else {
-                                            Verdict::Inconclusive(Inconclusive::Budget(
-                                                tripped.to_string(),
-                                            ))
-                                        }
-                                    }
-                                };
-                            }
-                            Err(e) => {
-                                rendered.push_str(&format!("error: {e}"));
-                                stats.error = Some(e.clone());
-                                stats.verdict = Verdict::Inconclusive(Inconclusive::Error(e));
-                            }
-                        }
-                        stats.rendered = rendered;
+                        record_symbolic(&mut stats, arm.check(&limits));
                     }
                 }
             }
@@ -1475,317 +1234,47 @@ impl VerificationRequest {
         stats.wall_ms = t.elapsed().as_secs_f64() * 1e3;
         stats
     }
+}
 
-    /// The bounded-exhaustive backend.
-    fn run_exhaustive(
-        &self,
-        cfg: &LeaseConfig,
-        cancel: &CancelToken,
-        progress: Option<&ProgressFn>,
-    ) -> BackendStats {
-        let t = Instant::now();
-        let mut stats = BackendStats {
-            backend: "exhaustive".into(),
-            ..BackendStats::default()
-        };
-        if !matches!(self.query, Query::PteSafety) {
-            stats.verdict = Verdict::Inconclusive(Inconclusive::Unsupported(format!(
-                "the exhaustive backend checks PTE safety only, not {}",
-                self.query.name()
-            )));
-            stats.rendered = "unsupported query".into();
-            stats.wall_ms = t.elapsed().as_secs_f64() * 1e3;
-            return stats;
-        }
-        let depth = self.budget.depth.unwrap_or(DEFAULT_DEPTH);
-        let result =
-            exhaustive::explore_with(cfg, self.leased, depth, false, Some(cancel), progress);
-        stats.rendered = format!("{result}");
-        stats.runs = result.runs;
-        stats.depth = result.depth;
-        stats.violations = result.violations.len();
-        stats.errors = result.errors.len();
-        stats.cancelled = result.cancelled;
-        stats.verdict = if let Some(v) = result.violations.first() {
-            // Violations come back in (mask, default_drop) order, so
-            // this witness is deterministic for completed explorations.
-            stats.witness = Some(format!(
-                "mask {:#b} default_drop={}: {}",
-                v.mask, v.default_drop, v.report
-            ));
-            Verdict::Unsafe
-        } else if result.cancelled {
-            stats.tripped = Some("cancellation token".into());
-            Verdict::Inconclusive(Inconclusive::Cancelled)
-        } else if let Some(e) = result.errors.first() {
+/// Records a symbolic engine outcome in `stats`: its rendered verdict
+/// (appended to whatever `stats.rendered` already holds, so the
+/// compositional fallback keeps its prefix), the search counters, the
+/// witness, the tripped limit and cancellation.
+fn record_symbolic(stats: &mut BackendStats, outcome: Result<SymbolicVerdict, String>) {
+    let verdict = match outcome {
+        Ok(verdict) => verdict,
+        Err(e) => {
+            stats.rendered.push_str(&format!("error: {e}"));
             stats.error = Some(e.clone());
-            Verdict::Inconclusive(Inconclusive::Error(e.clone()))
-        } else {
-            Verdict::Safe
-        };
-        stats.wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        stats
-    }
-
-    /// The Monte-Carlo backend: `trials` random loss assignments
-    /// (seeded, deterministic per seed), falsification only.
-    fn run_montecarlo(
-        &self,
-        cfg: &LeaseConfig,
-        cancel: &CancelToken,
-        progress: Option<&ProgressFn>,
-    ) -> BackendStats {
-        let t = Instant::now();
-        let mut stats = BackendStats {
-            backend: "montecarlo".into(),
-            ..BackendStats::default()
-        };
-        if !matches!(self.query, Query::PteSafety) {
-            stats.verdict = Verdict::Inconclusive(Inconclusive::Unsupported(format!(
-                "the Monte-Carlo backend checks PTE safety only, not {}",
-                self.query.name()
-            )));
-            stats.rendered = "unsupported query".into();
-            stats.wall_ms = t.elapsed().as_secs_f64() * 1e3;
-            return stats;
+            stats.verdict = Verdict::Inconclusive(Inconclusive::Error(e));
+            return;
         }
-        let trials = self.budget.trials.unwrap_or(DEFAULT_TRIALS);
-        let outcome =
-            sample_loss_fates(cfg, self.leased, trials, self.budget.seed, cancel, progress);
-        stats.runs = outcome.completed;
-        stats.violations = outcome.violations.len();
-        stats.errors = outcome.errors.len();
-        stats.cancelled = outcome.cancelled;
-        let ci = wilson_ci(outcome.violations.len(), outcome.completed.max(1), 1.96);
-        stats.rendered = format!(
-            "{} of {} sampled loss assignments violate PTE \
-             (95% CI on the violation rate [{:.3}, {:.3}]){}",
-            outcome.violations.len(),
-            outcome.completed,
-            ci.0,
-            ci.1,
-            if outcome.cancelled {
-                " (CANCELLED)"
+    };
+    stats.rendered.push_str(&format!("{verdict}"));
+    if let Some(s) = verdict.stats() {
+        stats.states = s.states;
+        stats.transitions = s.transitions;
+        stats.frontier = s.frontier;
+        stats.peak_passed_bytes = s.peak_passed_bytes;
+        stats.peak_passed_bytes_full = s.peak_passed_bytes_full;
+        stats.warm_seeded = s.warm_seeded;
+    }
+    stats.verdict = match verdict {
+        SymbolicVerdict::Safe(_) => Verdict::Safe,
+        SymbolicVerdict::Unsafe(ce) => {
+            stats.witness = Some(format!("{ce}"));
+            Verdict::Unsafe
+        }
+        SymbolicVerdict::OutOfBudget { tripped, .. } => {
+            stats.tripped = Some(tripped.to_string());
+            if tripped == TrippedLimit::Cancelled {
+                stats.cancelled = true;
+                Verdict::Inconclusive(Inconclusive::Cancelled)
             } else {
-                ""
-            }
-        );
-        stats.verdict = if let Some((seed, report)) = outcome.violations.first() {
-            stats.witness = Some(format!("seed {seed}: {report}"));
-            Verdict::Unsafe
-        } else if outcome.cancelled {
-            stats.tripped = Some("cancellation token".into());
-            Verdict::Inconclusive(Inconclusive::Cancelled)
-        } else if let Some(e) = outcome.errors.first() {
-            stats.error = Some(e.clone());
-            Verdict::Inconclusive(Inconclusive::Error(e.clone()))
-        } else {
-            Verdict::Inconclusive(Inconclusive::Unknown(format!(
-                "Monte-Carlo sampling can only falsify; 0 violations in {} trials",
-                outcome.completed
-            )))
-        };
-        stats.wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        stats
-    }
-
-    /// Races `members` on threads; the first conclusive verdict wins
-    /// and the losers' tokens are fired. The report lists backends in
-    /// member order (never finish order), and its verdict/witness are
-    /// the winner's alone.
-    ///
-    /// Racers are admitted through `available_parallelism() - 1` slots
-    /// in expected-cost order (analytic, then symbolic, then the
-    /// simulation-heavy exhaustive/Monte-Carlo backends): on a wide
-    /// machine every backend races at once, while on a 2-core box the
-    /// cheap proof-grade backends are not starved by a wall of
-    /// simulator threads — which is what keeps the portfolio within a
-    /// few percent of the symbolic backend alone. A racer whose token
-    /// fires before its slot opens is reported as cancelled without
-    /// ever running. A scheduler `cap`
-    /// ([`VerificationRequest::run_with_slots`]) replaces the
-    /// `available_parallelism - 1` default outright.
-    #[allow(clippy::too_many_arguments)]
-    fn run_portfolio(
-        &self,
-        arm: &Arm,
-        recommended: Option<usize>,
-        members: &[Concrete],
-        cancel: &CancelToken,
-        progress: Option<ProgressSink>,
-        cap: Option<usize>,
-        io: &ArtifactIo,
-    ) -> VerificationReport {
-        let started = Instant::now();
-        let tokens: Vec<CancelToken> = members.iter().map(|_| CancelToken::new()).collect();
-        // Propagate a caller cancellation that fired before we started.
-        if cancel.is_cancelled() {
-            for t in &tokens {
-                t.cancel();
+                Verdict::Inconclusive(Inconclusive::Budget(tripped.to_string()))
             }
         }
-        // Expected-cost start order: indices into `members`, cheapest
-        // route to a conclusive verdict first.
-        let cost = |m: Concrete| match m {
-            Concrete::Analytic => 0,
-            // Compositional never races (see `members`), but the match
-            // stays exhaustive; cost it like the symbolic engine.
-            Concrete::Symbolic | Concrete::Compositional => 1,
-            Concrete::Exhaustive => 2,
-            Concrete::MonteCarlo => 3,
-        };
-        let mut order: Vec<usize> = (0..members.len()).collect();
-        order.sort_by_key(|&i| cost(members[i]));
-        let slots = cap.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2)
-                .saturating_sub(1)
-                .max(1)
-        });
-
-        let (tx, rx) = mpsc::channel::<(usize, BackendStats)>();
-        let deadline = self.budget.max_wall_ms.map(Duration::from_millis);
-        let mut collected: Vec<Option<BackendStats>> = members.iter().map(|_| None).collect();
-        let mut winner: Option<usize> = None;
-        crossbeam::thread::scope(|scope| {
-            let mut next = 0usize;
-            let mut running = 0usize;
-            let mut remaining = members.len();
-            // Admits queued racers into free slots; a racer cancelled
-            // before its slot opens is settled in place, without a
-            // thread.
-            let admit = |running: &mut usize,
-                         next: &mut usize,
-                         remaining: &mut usize,
-                         collected: &mut Vec<Option<BackendStats>>| {
-                while *running < slots && *next < order.len() {
-                    let i = order[*next];
-                    *next += 1;
-                    if tokens[i].is_cancelled() {
-                        collected[i] = Some(BackendStats {
-                            backend: members[i].name().into(),
-                            verdict: Verdict::Inconclusive(Inconclusive::Cancelled),
-                            rendered: "cancelled before start".into(),
-                            tripped: Some("cancellation token".into()),
-                            cancelled: true,
-                            ..BackendStats::default()
-                        });
-                        *remaining -= 1;
-                        continue;
-                    }
-                    let tx = tx.clone();
-                    let token = tokens[i].clone();
-                    let progress = progress.clone();
-                    let m = members[i];
-                    scope.spawn(move |_| {
-                        // Every racer must send exactly once, or the
-                        // coordinator waits forever: a panicking backend
-                        // becomes an in-band error, never a hang.
-                        let stats = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.run_one(m, arm, recommended, &token, progress.as_ref(), cap, io)
-                        }))
-                        .unwrap_or_else(|_| BackendStats {
-                            backend: m.name().into(),
-                            verdict: Verdict::Inconclusive(Inconclusive::Error(
-                                "backend panicked".into(),
-                            )),
-                            rendered: "backend panicked".into(),
-                            error: Some("backend panicked".into()),
-                            ..BackendStats::default()
-                        });
-                        let _ = tx.send((i, stats));
-                    });
-                    *running += 1;
-                }
-            };
-            admit(&mut running, &mut next, &mut remaining, &mut collected);
-            while remaining > 0 {
-                match rx.recv_timeout(Duration::from_millis(5)) {
-                    Ok((i, stats)) => {
-                        remaining -= 1;
-                        running -= 1;
-                        if winner.is_none() && stats.verdict.is_conclusive() {
-                            winner = Some(i);
-                            for (j, t) in tokens.iter().enumerate() {
-                                if j != i {
-                                    t.cancel();
-                                }
-                            }
-                        }
-                        collected[i] = Some(stats);
-                        admit(&mut running, &mut next, &mut remaining, &mut collected);
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        let out_of_time = deadline.is_some_and(|d| started.elapsed() > d);
-                        if cancel.is_cancelled() || out_of_time {
-                            for t in &tokens {
-                                t.cancel();
-                            }
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        })
-        .expect("portfolio racer panicked");
-
-        let backends: Vec<BackendStats> = collected
-            .into_iter()
-            .map(|s| s.expect("every racer reports"))
-            .collect();
-        let (verdict, witness, tripped, winner_name) = match winner {
-            Some(i) => {
-                let w = &backends[i];
-                (
-                    w.verdict.clone(),
-                    w.witness.clone(),
-                    w.tripped.clone(),
-                    Some(w.backend.clone()),
-                )
-            }
-            None => {
-                // No conclusive verdict anywhere. Prefer the most
-                // actionable reason, in member order: a tripped budget
-                // (raise it), then an error, then cancellation, then
-                // inherent undecidedness.
-                let pick = |f: &dyn Fn(&BackendStats) -> bool| {
-                    backends.iter().find(|b| f(b)).map(|b| b.verdict.clone())
-                };
-                let verdict =
-                    pick(&|b| matches!(b.verdict, Verdict::Inconclusive(Inconclusive::Budget(_))))
-                        .or_else(|| {
-                            pick(&|b| {
-                                matches!(b.verdict, Verdict::Inconclusive(Inconclusive::Error(_)))
-                            })
-                        })
-                        .or_else(|| {
-                            pick(&|b| {
-                                matches!(b.verdict, Verdict::Inconclusive(Inconclusive::Cancelled))
-                            })
-                        })
-                        .unwrap_or_else(|| {
-                            Verdict::Inconclusive(Inconclusive::Unknown(
-                                "no backend reached a conclusive verdict".into(),
-                            ))
-                        });
-                let tripped = backends.iter().find_map(|b| b.tripped.clone());
-                (verdict, None, tripped, None)
-            }
-        };
-        VerificationReport {
-            scenario: None,
-            leased: self.leased,
-            verdict,
-            witness,
-            winner: winner_name,
-            tripped,
-            backends,
-            analysis: None,
-            compositional: None,
-            wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        }
-    }
+    };
 }
 
 /// Location reachability through the symbolic engine: compose a
@@ -1820,132 +1309,14 @@ impl Arm {
     }
 }
 
-/// Outcome of a Monte-Carlo sampling pass.
-struct SampleOutcome {
-    completed: usize,
-    /// `(trial seed, rendered report)` of every violating trial, in
-    /// seed order (deterministic witness for completed passes).
-    violations: Vec<(u64, String)>,
-    errors: Vec<String>,
-    cancelled: bool,
-}
-
-/// SplitMix64: the seed-to-assignment scrambler (deterministic,
-/// dependency-free).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Runs `trials` random loss assignments in parallel: trial `k` drives
-/// the assignment derived from `splitmix64(seed + k)` — a
-/// [`MC_MASK_DEPTH`]-bit drop mask plus a tail default — through the
-/// simulator and checks the trace against the PTE rules.
-fn sample_loss_fates(
-    cfg: &LeaseConfig,
-    leased: bool,
-    trials: usize,
-    seed: u64,
-    cancel: &CancelToken,
-    progress: Option<&ProgressFn>,
-) -> SampleOutcome {
-    use parking_lot::Mutex;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let violations: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::new());
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let completed = AtomicUsize::new(0);
-    // Set only when a worker abandons unfinished trials on
-    // cancellation — a token that fires after the last trial leaves a
-    // complete (and reportable) sampling pass.
-    let stopped_early = std::sync::atomic::AtomicBool::new(false);
-    let started = Instant::now();
-    let n_workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .min(trials.max(1));
-    crossbeam::thread::scope(|scope| {
-        for w in 0..n_workers {
-            let violations = &violations;
-            let errors = &errors;
-            let completed = &completed;
-            let stopped_early = &stopped_early;
-            scope.spawn(move |_| {
-                let mut k = w;
-                let mut round = 0usize;
-                while k < trials {
-                    if cancel.is_cancelled() {
-                        stopped_early.store(true, Ordering::Release);
-                        break;
-                    }
-                    if w == 0 {
-                        if let Some(report) = progress {
-                            let done = completed.load(Ordering::Relaxed);
-                            report(&Progress {
-                                round,
-                                settled: done,
-                                frontier: trials - done,
-                                elapsed: started.elapsed(),
-                            });
-                        }
-                        round += 1;
-                    }
-                    let trial_seed = seed.wrapping_add(k as u64);
-                    let bits = splitmix64(trial_seed);
-                    let mask = bits & ((1u64 << MC_MASK_DEPTH) - 1);
-                    let default_drop = (bits >> MC_MASK_DEPTH) & 1 == 1;
-                    match exhaustive::run_assignment(
-                        cfg,
-                        leased,
-                        mask,
-                        MC_MASK_DEPTH,
-                        default_drop,
-                        false,
-                    ) {
-                        Ok(None) => {
-                            completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(Some(report)) => {
-                            completed.fetch_add(1, Ordering::Relaxed);
-                            violations.lock().push((trial_seed, report));
-                        }
-                        Err(e) => {
-                            errors.lock().push(format!("seed {trial_seed}: {e}"));
-                            break;
-                        }
-                    }
-                    k += n_workers;
-                }
-            });
-        }
-    })
-    .expect("sampler worker panicked");
-    let mut violations = violations.into_inner();
-    violations.sort_by_key(|(seed, _)| *seed);
-    SampleOutcome {
-        completed: completed.into_inner(),
-        violations,
-        errors: errors.into_inner(),
-        cancelled: stopped_early.into_inner(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn auto_and_portfolio_default_to_auto_workers() {
+    fn auto_defaults_to_auto_workers() {
         let base = VerificationRequest::scenario("case-study");
         assert_eq!(base.clone().backend(BackendSel::Auto).resolved_workers(), 0);
-        assert_eq!(
-            base.clone()
-                .backend(BackendSel::Portfolio)
-                .resolved_workers(),
-            0
-        );
         assert_eq!(
             base.clone()
                 .backend(BackendSel::Symbolic)
@@ -1954,9 +1325,7 @@ mod tests {
         );
         // An explicit worker count always wins over the defaults.
         assert_eq!(
-            base.backend(BackendSel::Portfolio)
-                .workers(3)
-                .resolved_workers(),
+            base.backend(BackendSel::Auto).workers(3).resolved_workers(),
             3
         );
     }
@@ -2042,10 +1411,9 @@ mod tests {
         );
     }
 
-    /// Worker-cost accounting: analytic is one slot, an explicit
-    /// symbolic worker count is itself, auto and the simulation
-    /// backends scale with the machine, and a portfolio costs its
-    /// admission slots.
+    /// Worker-cost accounting: an analytic-only request is one slot, an
+    /// explicit symbolic worker count is itself, and an `Auto` request
+    /// that may reach the zone engine scales with the machine.
     #[test]
     fn worker_cost_accounts_for_backend_shape() {
         let ap = std::thread::available_parallelism()
@@ -2062,11 +1430,11 @@ mod tests {
         );
         assert_eq!(base.clone().backend(BackendSel::Auto).worker_cost(), ap);
         assert_eq!(
-            base.clone().backend(BackendSel::Exhaustive).worker_cost(),
-            ap
+            base.backend(BackendSel::Auto)
+                .query(Query::ConditionCheck)
+                .worker_cost(),
+            1
         );
-        let portfolio = base.backend(BackendSel::Portfolio).worker_cost();
-        assert!((1..=4).contains(&portfolio), "{portfolio}");
     }
 
     /// The canonical cache key is invariant across request *spellings*:
@@ -2089,10 +1457,6 @@ mod tests {
         let explicit = by_name
             .clone()
             .workers(1)
-            .depth(DEFAULT_DEPTH)
-            .trials(DEFAULT_TRIALS)
-            .symmetry(true)
-            .work_stealing(false)
             .contract("top")
             .refine_pairs(RefineLimits::default().max_pairs);
         assert_eq!(explicit.cache_key().unwrap(), key);
@@ -2101,7 +1465,7 @@ mod tests {
         // parses to the same key.
         let json = serde_json::to_string(&by_name).unwrap();
         let reordered: VerificationRequest = serde_json::from_str(
-            r#"{"budget":{"seed":0},"backend":"Symbolic","query":"PteSafety","leased":true,"scenario":"case-study"}"#,
+            r#"{"budget":{},"backend":"Symbolic","query":"PteSafety","leased":true,"scenario":"case-study"}"#,
         )
         .unwrap();
         assert_eq!(reordered.cache_key().unwrap(), key, "original: {json}");
@@ -2109,13 +1473,11 @@ mod tests {
         // Every semantic field separates digests.
         for other in [
             by_name.clone().leased(false),
-            by_name.clone().backend(BackendSel::Portfolio),
+            by_name.clone().backend(BackendSel::Auto),
             by_name.clone().query(Query::ConditionCheck),
             by_name.clone().max_states(99),
             by_name.clone().workers(2),
             by_name.clone().max_wall_ms(1000),
-            by_name.clone().symmetry(false),
-            by_name.clone().work_stealing(true),
             by_name.clone().warm_start(true),
             by_name.clone().warm_start(false),
             by_name.clone().warm_from("024ff959927ea2b6"),
@@ -2131,10 +1493,6 @@ mod tests {
             by_name.clone().warm_from("a").cache_key().unwrap(),
             by_name.clone().warm_from("b").cache_key().unwrap()
         );
-        let mut seeded = by_name.clone();
-        seeded.budget.seed = 7;
-        assert_ne!(seeded.cache_key().unwrap(), key);
-
         // Unknown scenarios fail like `run` does.
         assert!(matches!(
             VerificationRequest::scenario("no-such").cache_key(),
@@ -2151,9 +1509,9 @@ mod tests {
         let case = VerificationRequest::scenario("case-study").backend(BackendSel::Symbolic);
         let baseline = case.clone().leased(false);
         let chain = VerificationRequest::scenario("chain-3");
-        insta_eq(case.cache_key().unwrap(), "57fd3531a771a455");
-        insta_eq(baseline.cache_key().unwrap(), "51fc2235f7c01bf0");
-        insta_eq(chain.cache_key().unwrap(), "7e03d298c2daebd4");
+        insta_eq(case.cache_key().unwrap(), "891f93ed374637fb");
+        insta_eq(baseline.cache_key().unwrap(), "ac22af43d0de3d70");
+        insta_eq(chain.cache_key().unwrap(), "a701fed7e30c9412");
     }
 
     /// Tiny pinned-value helper so the expected digests live in one
@@ -2210,20 +1568,18 @@ mod tests {
     }
 
     #[test]
-    fn member_selection_follows_query_applicability() {
-        let req = VerificationRequest::scenario("case-study").backend(BackendSel::Portfolio);
-        assert_eq!(req.members().len(), 4);
-        let req = req.query(Query::LocationReach { targets: vec![] });
-        assert_eq!(req.members(), vec![Concrete::Symbolic]);
-        let req = req.query(Query::ConditionCheck);
-        assert_eq!(req.members(), vec![Concrete::Analytic]);
-        // Auto picks one backend per query.
+    fn auto_members_follow_the_query() {
         let auto = VerificationRequest::scenario("case-study").backend(BackendSel::Auto);
-        assert_eq!(auto.members(), vec![Concrete::Symbolic]);
+        assert_eq!(auto.members(), [Concrete::Analytic, Concrete::Symbolic]);
+        let reach = auto.clone().query(Query::LocationReach { targets: vec![] });
+        assert_eq!(reach.members(), [Concrete::Symbolic]);
         assert_eq!(
             auto.query(Query::ConditionCheck).members(),
-            vec![Concrete::Analytic]
+            [Concrete::Analytic]
         );
+        // Explicit selections run exactly their backend.
+        let symbolic = VerificationRequest::scenario("case-study").backend(BackendSel::Symbolic);
+        assert_eq!(symbolic.members(), [Concrete::Symbolic]);
     }
 
     #[test]
@@ -2245,35 +1601,6 @@ mod tests {
             .run()
             .unwrap();
         assert!(!baseline.verdict.is_conclusive(), "{:?}", baseline.verdict);
-    }
-
-    #[test]
-    fn montecarlo_can_only_falsify() {
-        // The unleased case study violates PTE under sampled loss…
-        let baseline = VerificationRequest::config(LeaseConfig::case_study())
-            .leased(false)
-            .backend(BackendSel::MonteCarlo)
-            .trials(24)
-            .run()
-            .unwrap();
-        assert_eq!(baseline.verdict, Verdict::Unsafe, "{baseline}");
-        assert!(baseline.witness.as_deref().unwrap().starts_with("seed "));
-        // …and the same sampler on the leased arm stays inconclusive:
-        // zero violations are evidence, not proof.
-        let leased = VerificationRequest::config(LeaseConfig::case_study())
-            .leased(true)
-            .backend(BackendSel::MonteCarlo)
-            .trials(8)
-            .run()
-            .unwrap();
-        assert!(
-            matches!(
-                leased.verdict,
-                Verdict::Inconclusive(Inconclusive::Unknown(_))
-            ),
-            "{:?}",
-            leased.verdict
-        );
     }
 
     #[test]

@@ -16,11 +16,9 @@ use pte_hybrid::{Root, Time};
 use pte_sim::driver::ScriptedDriver;
 use pte_sim::executor::{Executor, ExecutorConfig};
 use pte_sim::network::{Channel, Delivery, DropReason, Message, NetworkBridge};
-use pte_zones::{CancelToken, Progress, ProgressFn};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One counter-example (never expected for valid configurations).
 #[derive(Clone, Debug)]
@@ -52,21 +50,14 @@ pub struct ExplorationResult {
     /// Any entry poisons [`ExplorationResult::all_safe`]: a run that
     /// could not execute must never count as a safe run.
     pub errors: Vec<String>,
-    /// `true` when a [`CancelToken`] ended the exploration before every
-    /// assignment ran. A cancelled exploration is *partial*: any
-    /// violations it did find are real, but the absence of violations
-    /// proves nothing, so cancellation poisons
-    /// [`ExplorationResult::all_safe`] too.
-    pub cancelled: bool,
 }
 
 impl ExplorationResult {
     /// `true` if every explored assignment executed *and* satisfied the
     /// PTE rules. Infrastructure errors make this `false` — a broken
-    /// build is not a verified one — and so does cancellation, because
-    /// a partial enumeration is not an enumeration.
+    /// build is not a verified one.
     pub fn all_safe(&self) -> bool {
-        self.violations.is_empty() && self.errors.is_empty() && !self.cancelled
+        self.violations.is_empty() && self.errors.is_empty()
     }
 
     /// `true` when the requested depth was clamped to [`MAX_DEPTH`] and
@@ -80,7 +71,7 @@ impl fmt::Display for ExplorationResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} runs at depth {}{}{}: {}",
+            "{} runs at depth {}{}: {}",
             self.runs,
             self.depth,
             if self.truncated() {
@@ -90,11 +81,6 @@ impl fmt::Display for ExplorationResult {
                 )
             } else {
                 String::new()
-            },
-            if self.cancelled {
-                " (CANCELLED; enumeration incomplete)"
-            } else {
-                ""
             },
             match (self.violations.is_empty(), self.errors.is_empty()) {
                 (true, true) => "all PTE-safe".to_string(),
@@ -156,7 +142,7 @@ impl Channel for SharedScript {
 /// are **errors**, never silently treated as safe runs: the old
 /// `Executor::new(..).ok()?` here once turned a broken build into a
 /// clean verification verdict.
-pub(crate) fn run_assignment(
+fn run_assignment(
     cfg: &LeaseConfig,
     leased: bool,
     mask: u64,
@@ -235,35 +221,15 @@ fn clamp_depth(requested: usize) -> usize {
 /// (typical verification uses 8–12); a clamped request is surfaced via
 /// [`ExplorationResult::requested_depth`] and its `Display`, so a
 /// depth-25 request is never silently reported as fully enumerated.
+///
+/// Violations are returned in `(mask, default_drop)` order, so the
+/// first entry — and hence any witness derived from it — is
+/// deterministic regardless of worker scheduling.
 pub fn explore(
     cfg: &LeaseConfig,
     leased: bool,
     depth: usize,
     cancel_mid_emission: bool,
-) -> ExplorationResult {
-    explore_with(cfg, leased, depth, cancel_mid_emission, None, None)
-}
-
-/// [`explore`] with cooperative cancellation and streaming progress.
-///
-/// * `cancel` — polled by every worker between runs: once fired, the
-///   exploration stops within one assignment per worker and the result
-///   comes back with [`ExplorationResult::cancelled`] set (which
-///   poisons `all_safe`; violations already found are still reported).
-/// * `progress` — invoked by one designated worker between its own
-///   assignments: [`Progress::settled`] counts completed runs,
-///   [`Progress::frontier`] the assignments still to execute.
-///
-/// Violations are returned in `(mask, default_drop)` order, so the
-/// first entry — and hence any witness derived from it — is
-/// deterministic regardless of worker scheduling.
-pub fn explore_with(
-    cfg: &LeaseConfig,
-    leased: bool,
-    depth: usize,
-    cancel_mid_emission: bool,
-    cancel: Option<&CancelToken>,
-    progress: Option<&ProgressFn>,
 ) -> ExplorationResult {
     let requested_depth = depth;
     let depth = clamp_depth(requested_depth);
@@ -271,11 +237,6 @@ pub fn explore_with(
     let violations: Mutex<Vec<CounterExample>> = Mutex::new(Vec::new());
     let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let runs = AtomicUsize::new(0);
-    // Set only when a worker abandons unfinished work because the token
-    // fired — a token that fires after the last run completes leaves a
-    // *complete* enumeration, which must not be reported as truncated.
-    let stopped_early = AtomicBool::new(false);
-    let started = Instant::now();
 
     let n_workers = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -286,30 +247,9 @@ pub fn explore_with(
             let violations = &violations;
             let errors = &errors;
             let runs = &runs;
-            let stopped_early = &stopped_early;
             scope.spawn(move |_| {
-                let mut round = 0usize;
                 let mut mask = w as u64;
                 'masks: while mask < total {
-                    if cancel.is_some_and(CancelToken::is_cancelled) {
-                        stopped_early.store(true, Ordering::Release);
-                        break 'masks;
-                    }
-                    // One designated worker streams progress; the
-                    // others just run. Observational only, so the
-                    // verdict stays deterministic.
-                    if w == 0 {
-                        if let Some(report) = progress {
-                            let settled = runs.load(Ordering::Relaxed);
-                            report(&Progress {
-                                round,
-                                settled,
-                                frontier: (total as usize * 2).saturating_sub(settled),
-                                elapsed: started.elapsed(),
-                            });
-                        }
-                        round += 1;
-                    }
                     for default_drop in [false, true] {
                         match run_assignment(
                             cfg,
@@ -357,7 +297,6 @@ pub fn explore_with(
         requested_depth,
         violations,
         errors: errors.into_inner(),
-        cancelled: stopped_early.into_inner(),
     }
 }
 

@@ -30,11 +30,13 @@
 //! | `adversary`    | one concrete run   | targeted strategies | falsification    |
 //! | `symbolic`     | all (dense time)   | all (unbounded)     | proof            |
 //!
-//! The [`api`] module is the one front door over all of them: a
-//! [`VerificationRequest`] (scenario-or-config × query × backend
-//! selection × unified budget) returns one [`VerificationReport`],
-//! with portfolio racing, cooperative cancellation, and streaming
-//! progress.
+//! The [`api`] module is the one front door over the proof-grade
+//! backends: a [`VerificationRequest`] (scenario-or-config × query ×
+//! backend selection × unified budget) returns one
+//! [`VerificationReport`]. Its `Auto` selection runs the analytic
+//! c1–c7 check (Theorem 1) and falls back to the symbolic engine only
+//! when that check is inconclusive; cooperative cancellation and
+//! streaming progress reach the symbolic engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +53,7 @@ pub use api::{
     unknown_contract_diagnostic, AnalysisSummary, ApiError, ArtifactIo, BackendSel, BackendStats,
     Budget, Inconclusive, ProgressSink, Query, Verdict, VerificationReport, VerificationRequest,
 };
-pub use exhaustive::{explore, explore_with, ExplorationResult};
+pub use exhaustive::{explore, ExplorationResult};
 pub use montecarlo::{run_batch, BatchSummary, TrialOutcome};
 pub use pte_contracts::{CompositionalStats, ContractCacheStats, EnvProfile};
 pub use pte_zones::{

@@ -1,13 +1,13 @@
 //! Integration gates of the unified `pte_verify::api` front door:
 //! cooperative cancellation (prompt, never a spurious verdict, at every
-//! worker count), portfolio racing (the report is byte-identical to
-//! the winning backend's own output — losers never leak), query
-//! routing, and serde round-trips of requests and reports.
+//! worker count), `Auto` sequencing (the analytic check first, the zone
+//! search only when it is inconclusive, with the symbolic backend's own
+//! witness), query routing, and serde round-trips of requests and
+//! reports.
 
 use proptest::prelude::*;
 use pte_verify::api::{
-    ApiError, BackendSel, Budget, Inconclusive, Query, Verdict, VerificationReport,
-    VerificationRequest,
+    ApiError, BackendSel, Inconclusive, Query, Verdict, VerificationReport, VerificationRequest,
 };
 use pte_verify::{CancelToken, Progress, ProgressSink};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -72,115 +72,62 @@ proptest! {
     }
 }
 
-/// On every registry scenario with N ≤ 3 (both arms), the portfolio's
-/// verdict and witness are byte-identical to running the winning
-/// backend alone with the same budget: losers' partial output never
-/// leaks into the report.
-#[test]
-fn portfolio_report_is_byte_identical_to_the_winner_alone() {
-    for s in pte_tracheotomy::registry::registry() {
-        if s.n > 3 {
-            continue;
-        }
-        for leased in [true, false] {
-            let budget = Budget {
-                depth: Some(4),
-                trials: Some(12),
-                ..Budget::default()
-            };
-            let portfolio = VerificationRequest::scenario(&s.name)
-                .leased(leased)
-                .backend(BackendSel::Portfolio)
-                .budget(budget.clone())
-                .run()
-                .expect("registry scenario resolves");
-            assert!(
-                portfolio.verdict.is_conclusive(),
-                "{} (leased={leased}): portfolio must conclude: {portfolio}",
-                s.name
-            );
-            let winner = portfolio
-                .winner
-                .clone()
-                .expect("a conclusive portfolio names its winner");
-            let solo_sel = match winner.as_str() {
-                "analytic" => BackendSel::Analytic,
-                "exhaustive" => BackendSel::Exhaustive,
-                "montecarlo" => BackendSel::MonteCarlo,
-                "symbolic" => BackendSel::Symbolic,
-                other => panic!("unknown winner `{other}`"),
-            };
-            let solo = VerificationRequest::scenario(&s.name)
-                .leased(leased)
-                .backend(solo_sel)
-                .budget(budget)
-                .run()
-                .expect("registry scenario resolves");
-            assert_eq!(
-                portfolio.verdict, solo.verdict,
-                "{} (leased={leased}, winner={winner})",
-                s.name
-            );
-            assert_eq!(
-                portfolio.witness, solo.witness,
-                "{} (leased={leased}, winner={winner}): witnesses must be byte-identical",
-                s.name
-            );
-            // The top-level fields are the winner's alone.
-            let wstats = portfolio.backend(&winner).expect("winner stats present");
-            assert_eq!(portfolio.witness, wstats.witness);
-            assert_eq!(portfolio.tripped, wstats.tripped);
-            // The winner itself ran to completion.
-            assert!(!wstats.cancelled, "{} (leased={leased})", s.name);
-            // Report order is the fixed member order, not finish order.
-            let order: Vec<&str> = portfolio
-                .backends
-                .iter()
-                .map(|b| b.backend.as_str())
-                .collect();
-            assert_eq!(
-                order,
-                vec!["analytic", "exhaustive", "montecarlo", "symbolic"],
-                "{} (leased={leased})",
-                s.name
-            );
-        }
-    }
+/// The names of the backends a report ran, in run order.
+fn ran(report: &VerificationReport) -> Vec<&str> {
+    report.backends.iter().map(|b| b.backend.as_str()).collect()
 }
 
-/// Portfolio losers are cancelled: once the winner decides, every
-/// other backend's progress stream stops and its stats say so.
+/// `Auto` on every registry scenario with N ≤ 8, both arms: the leased
+/// arm is proved by the analytic check alone; the lease-stripped arm
+/// leaves the analytic check inconclusive and is falsified by the zone
+/// search, with the witness `Symbolic` renders under the same budget.
+/// `LocationReach` runs only the zone search and `ConditionCheck` only
+/// the analytic check.
 #[test]
-fn portfolio_cancels_losing_backends() {
-    // The leased case study: the analytic backend wins in microseconds
-    // while the symbolic proof takes tens of milliseconds — the
-    // symbolic racer must be cancelled mid-search, observably.
-    let report = VerificationRequest::scenario("case-study")
-        .leased(true)
-        .backend(BackendSel::Portfolio)
-        .trials(12)
-        .run()
-        .expect("case-study resolves");
-    assert_eq!(report.verdict, Verdict::Safe);
-    assert_eq!(report.winner.as_deref(), Some("analytic"));
-    let cancelled: Vec<&str> = report
-        .backends
-        .iter()
-        .filter(|b| b.cancelled)
-        .map(|b| b.backend.as_str())
-        .collect();
-    assert!(
-        !cancelled.is_empty(),
-        "at least one losing backend must observe the cancellation: {report}"
-    );
-    for b in &report.backends {
-        if b.cancelled {
-            assert_eq!(
-                b.verdict,
-                Verdict::Inconclusive(Inconclusive::Cancelled),
-                "{}: a cancelled loser must not claim a verdict",
-                b.backend
-            );
+fn auto_runs_the_analytic_check_then_the_zone_search() {
+    for s in pte_tracheotomy::registry::registry() {
+        if s.n > 8 {
+            continue;
+        }
+        let auto = |leased: bool| VerificationRequest::scenario(&s.name).leased(leased);
+
+        let leased = auto(true).run().expect("registry scenario resolves");
+        assert_eq!(leased.verdict, Verdict::Safe, "{}: {leased}", s.name);
+        assert_eq!(leased.winner.as_deref(), Some("analytic"), "{}", s.name);
+        assert_eq!(ran(&leased), ["analytic"], "{}", s.name);
+
+        let stripped = auto(false).run().expect("registry scenario resolves");
+        assert_eq!(stripped.verdict, Verdict::Unsafe, "{}: {stripped}", s.name);
+        assert_eq!(stripped.winner.as_deref(), Some("symbolic"), "{}", s.name);
+        assert_eq!(ran(&stripped), ["analytic", "symbolic"], "{}", s.name);
+        // Same request, same budget, explicit backend.
+        let symbolic = auto(false)
+            .backend(BackendSel::Symbolic)
+            .run()
+            .expect("registry scenario resolves");
+        assert_eq!(
+            stripped.witness, symbolic.witness,
+            "{}: the Auto witness must be the symbolic backend's, byte for byte",
+            s.name
+        );
+        assert_eq!(stripped.tripped, None, "{}", s.name);
+
+        for arm in [true, false] {
+            let reach = auto(arm)
+                .query(Query::LocationReach {
+                    targets: vec![("initializer".into(), "Requesting".into())],
+                })
+                .run()
+                .expect("registry scenario resolves");
+            assert_eq!(reach.verdict, Verdict::Unsafe, "{}: {reach}", s.name);
+            assert_eq!(ran(&reach), ["symbolic"], "{}", s.name);
+
+            let conditions = auto(arm)
+                .query(Query::ConditionCheck)
+                .run()
+                .expect("registry scenario resolves");
+            assert_eq!(conditions.verdict, Verdict::Safe, "{}", s.name);
+            assert_eq!(ran(&conditions), ["analytic"], "{}", s.name);
         }
     }
 }
@@ -215,50 +162,18 @@ fn location_reach_routes_to_the_symbolic_engine() {
     );
 }
 
-/// The scheduler / symmetry budget knobs reach the engine: a
-/// work-stealing falsification renders the identical witness to the
-/// default round-barrier run (the determinism contract surfaces at
-/// the API layer), and the two requests hash to different cache keys.
-#[test]
-fn scheduler_and_symmetry_knobs_reach_the_engine() {
-    let base = VerificationRequest::scenario("chain-2")
-        .leased(false)
-        .backend(BackendSel::Symbolic);
-    let reference = base.clone().run().expect("chain-2 resolves");
-    assert_eq!(reference.verdict, Verdict::Unsafe);
-    for accelerated in [
-        base.clone().work_stealing(true).workers(4),
-        base.clone().symmetry(false),
-        base.clone().work_stealing(true).symmetry(false).workers(2),
-    ] {
-        let report = accelerated.run().expect("chain-2 resolves");
-        assert_eq!(report.verdict, Verdict::Unsafe);
-        assert_eq!(
-            report.witness, reference.witness,
-            "witness must not depend on scheduler/symmetry knobs"
-        );
-        assert_ne!(
-            accelerated.cache_key().unwrap(),
-            base.cache_key().unwrap(),
-            "knobs must separate cache keys"
-        );
-    }
-}
-
 /// Requests and reports round-trip through the vendored serde — the
 /// wire contract a service layer builds on.
 #[test]
 fn requests_and_reports_serde_round_trip() {
     let request = VerificationRequest::scenario("chain-3")
         .leased(false)
-        .backend(BackendSel::Portfolio)
+        .backend(BackendSel::Auto)
         .query(Query::LocationReach {
             targets: vec![("participant1".into(), "Risky Core".into())],
         })
         .max_states(12_345)
         .workers(2)
-        .depth(5)
-        .trials(7)
         .max_wall_ms(9_000);
     let json = serde_json::to_string(&request).expect("request serializes");
     let back: VerificationRequest = serde_json::from_str(&json).expect("request parses");
@@ -278,54 +193,4 @@ fn requests_and_reports_serde_round_trip() {
     let json = serde_json::to_string(&err).expect("error serializes");
     let back: ApiError = serde_json::from_str(&json).expect("error parses");
     assert_eq!(err, back);
-}
-
-/// Release-mode overhead probe (ignored in tier-1 — wall-clock
-/// assertions belong on a quiet machine):
-///
-/// ```sh
-/// cargo test --release -p pte-verify --test api -- --ignored --nocapture
-/// ```
-///
-/// Prints portfolio-vs-symbolic wall times on the case study, both
-/// arms, and asserts the acceptance bound: the portfolio — which races
-/// the symbolic engine against three other backends and cancels the
-/// losers — is never slower than the symbolic backend alone by more
-/// than 10% (plus a 10 ms floor for thread-spawn noise on loaded CI
-/// boxes).
-#[test]
-#[ignore]
-fn portfolio_overhead_stays_within_ten_percent_of_symbolic() {
-    for leased in [true, false] {
-        let symbolic = VerificationRequest::scenario("case-study")
-            .leased(leased)
-            .backend(BackendSel::Symbolic)
-            .workers(0)
-            .run()
-            .expect("case-study resolves");
-        let portfolio = VerificationRequest::scenario("case-study")
-            .leased(leased)
-            .backend(BackendSel::Portfolio)
-            .run()
-            .expect("case-study resolves");
-        assert!(portfolio.verdict.is_conclusive(), "{portfolio}");
-        println!(
-            "leased={leased}: symbolic {:.1} ms, portfolio {:.1} ms (winner {})",
-            symbolic.wall_ms,
-            portfolio.wall_ms,
-            portfolio.winner.as_deref().unwrap_or("-")
-        );
-        for b in &portfolio.backends {
-            println!(
-                "    {}: {} {:.1} ms cancelled={}",
-                b.backend, b.verdict, b.wall_ms, b.cancelled
-            );
-        }
-        assert!(
-            portfolio.wall_ms <= symbolic.wall_ms * 1.1 + 10.0,
-            "leased={leased}: portfolio {:.1} ms vs symbolic {:.1} ms",
-            portfolio.wall_ms,
-            symbolic.wall_ms
-        );
-    }
 }

@@ -1,12 +1,13 @@
 //! Acceptance gates of the scenario registry, driven through the
-//! unified [`pte_verify::api`] front door: every backend consumes the
-//! same named scenarios, the symbolic engine proves the N = 4 lease
+//! unified [`pte_verify::api`] front door (plus the bounded-exhaustive
+//! explorer, called directly): every backend consumes the same named
+//! scenarios, the symbolic engine proves the N = 4 lease
 //! chain, and the backends agree wherever tier-1 time permits (the
 //! full matrix — including `chain-5`/`chain-6` — is the `campaign`
 //! binary's job; these tests pin the fast core of it).
 
 use pte_tracheotomy::registry;
-use pte_verify::{BackendSel, Verdict, VerificationRequest};
+use pte_verify::{explore, BackendSel, Verdict, VerificationRequest};
 
 /// A symbolic request against a registry scenario with the test-wide
 /// budget. Two workers: verdicts are bit-identical at every count (the
@@ -58,8 +59,7 @@ fn chain_4_proved_safe_and_baseline_falsified() {
 }
 
 /// Cross-backend agreement on the fast registry scenarios (N ≤ 3 plus
-/// the stress variant), both arms, all through the one front door:
-/// analytic c1–c7 says the leased arm is safe (Theorem 1), the
+/// the stress variant), both arms: analytic c1–c7 says the leased arm is safe (Theorem 1), the
 /// symbolic engine proves it, the bounded-exhaustive explorer confirms
 /// it at depth 4 — and symbolic + exhaustive both falsify the baseline
 /// (the analytic backend is conservative there and must report
@@ -109,14 +109,9 @@ fn fast_registry_scenarios_agree_across_backends() {
                 s.name
             );
 
-            let exhaustive = request
-                .clone()
-                .backend(BackendSel::Exhaustive)
-                .depth(4)
-                .run()
-                .unwrap_or_else(|e| panic!("{} (leased={leased}): {e}", s.name));
+            let exhaustive = explore(&s.config, leased, 4, false);
             assert_eq!(
-                exhaustive.verdict == Verdict::Safe,
+                exhaustive.all_safe(),
                 leased,
                 "{} (leased={leased}): exhaustive disagrees: {exhaustive}",
                 s.name

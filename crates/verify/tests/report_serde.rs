@@ -84,15 +84,13 @@ fn backend_stats() -> BoxedStrategy<BackendStats> {
     (
         prop_oneof![
             Just("analytic".to_string()),
-            Just("exhaustive".to_string()),
-            Just("montecarlo".to_string()),
             Just("symbolic".to_string()),
             Just("compositional".to_string()),
         ],
         verdict(),
         (text(), option_text(), option_text(), option_text()),
         (0.0f64..5e3, boolean()),
-        proptest::collection::vec(0usize..1_000_000, 8),
+        proptest::collection::vec(0usize..1_000_000, 5),
         compositional(),
     )
         .prop_map(
@@ -115,11 +113,7 @@ fn backend_stats() -> BoxedStrategy<BackendStats> {
                     frontier: ns[2],
                     peak_passed_bytes: ns[3],
                     peak_passed_bytes_full: ns[4],
-                    runs: ns[5],
-                    depth: ns[6],
-                    violations: ns[7],
                     warm_seeded: ns[4] % 10_000,
-                    errors: ns[7] % 3,
                     tripped,
                     error,
                     cancelled,
@@ -222,7 +216,7 @@ fn every_inconclusive_reason_round_trips() {
         Inconclusive::Cancelled,
         Inconclusive::Budget("state budget (max_states = 10)".into()),
         Inconclusive::Error("lowering failed: \"clock overflow\"\n  at λ".into()),
-        Inconclusive::Unsupported("montecarlo cannot decide location-reach".into()),
+        Inconclusive::Unsupported("the analytic backend checks c1–c7 only".into()),
         Inconclusive::Unknown(String::new()),
     ];
     for reason in reasons {

@@ -22,6 +22,11 @@
 use super::reachable::NetReachability;
 use crate::ta::TaNetwork;
 
+/// The most clocks a mask covers (one `u64` bit per clock). A larger
+/// network is searched without masks, and [`super::analyze`] reports
+/// that as a `masks-disabled` warning.
+pub(super) const MAX_MASKED_CLOCKS: usize = 64;
+
 /// Per-(automaton, location) dead-clock bitmasks over a network's
 /// clock space (the **reduced** space when computed from a reduced
 /// network).
@@ -33,7 +38,8 @@ pub struct ActivityMasks {
     /// dead set.
     pub dead: Vec<Vec<u64>>,
     /// Clock count the masks cover. `0` disables masking (more than 64
-    /// clocks, which the lowering never produces).
+    /// clocks; `LeaseConfig::chain(32)` already lowers to 65, and the
+    /// analysis warns `masks-disabled`).
     pub clocks: usize,
     /// Clocks owned by no single automaton (never masked).
     pub shared: usize,
@@ -44,7 +50,7 @@ impl ActivityMasks {
     /// keep an all-zero mask (they are never occupied).
     pub fn compute(net: &TaNetwork, reach: &NetReachability) -> ActivityMasks {
         let n = net.clock_count();
-        if n > 64 {
+        if n > MAX_MASKED_CLOCKS {
             return ActivityMasks {
                 dead: net
                     .automata

@@ -18,9 +18,9 @@
 //!    only in dead-clock history.
 //! 3. **Lint diagnostics** ([`lint::Diagnostic`]): unreachable
 //!    locations, statically unsatisfiable guards, dead edges,
-//!    receiver-less sends, and registers folded to constants —
-//!    surfaced by the `pte-lint` binary and attached to verification
-//!    reports.
+//!    receiver-less sends, registers folded to constants, and activity
+//!    masks switched off on networks wider than 64 clocks — surfaced by
+//!    the `pte-lint` binary and attached to verification reports.
 //!
 //! Soundness contract: every transformation here preserves the
 //! verdict of the reachability check bit-for-bit. Dropped clocks are
@@ -48,6 +48,7 @@ pub mod lint;
 mod reachable;
 
 pub use activity::ActivityMasks;
+use activity::MAX_MASKED_CLOCKS;
 pub use clocks::ClockReduction;
 pub use lint::{apply_allowlist, pattern_allowlist, AllowRule, Diagnostic, Severity};
 pub use reachable::NetReachability;
@@ -140,7 +141,20 @@ pub fn analyze(net: &TaNetwork) -> ModelAnalysis {
     // discrete structure is untouched by the clock map.
     let reduced = reduction.apply(net);
     let activity = ActivityMasks::compute(&reduced, &reachability);
-    let diagnostics = lint::lint(net, &reachability, &reduction);
+    let mut diagnostics = lint::lint(net, &reachability, &reduction);
+    if reduced.clock_count() > MAX_MASKED_CLOCKS {
+        diagnostics.push(Diagnostic {
+            severity: Severity::Warning,
+            code: "masks-disabled",
+            automaton: None,
+            site: None,
+            message: format!(
+                "{} clocks after reduction exceed the {MAX_MASKED_CLOCKS} the activity masks \
+                 cover; the search will not free dead clocks",
+                reduced.clock_count()
+            ),
+        });
+    }
     ModelAnalysis {
         reachability,
         reduction,

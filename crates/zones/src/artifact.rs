@@ -190,10 +190,6 @@ pub struct PassedArtifact {
     /// gated on the monitor's permutation invariance), and
     /// informational for diagnostics.
     pub symmetry: bool,
-    /// `true` when the capture run used the work-stealing scheduler
-    /// (informational; the passed set is scheduling-independent only
-    /// under the round barrier, but any settled set is a valid proof).
-    pub work_stealing: bool,
     /// Structural digest of the lowered network, constants excluded
     /// ([`net_structure_digest`]).
     pub net_digest: u64,
@@ -475,9 +471,9 @@ impl PassedArtifact {
         };
         w.u32(self.nclocks as u32);
         w.u8(self.extrapolation.tag());
-        w.u8(u8::from(self.reduce_clocks)
-            | (u8::from(self.symmetry) << 1)
-            | (u8::from(self.work_stealing) << 2));
+        // Bit 2 is reserved: written as 0 and ignored on read, so
+        // artifacts that set it still parse.
+        w.u8(u8::from(self.reduce_clocks) | (u8::from(self.symmetry) << 1));
         w.u64(self.net_digest);
         w.u64(self.masks_digest);
         w.u32(self.atom_ticks.len() as u32);
@@ -608,7 +604,6 @@ impl PassedArtifact {
             extrapolation,
             reduce_clocks: flags & 1 != 0,
             symmetry: flags & 2 != 0,
-            work_stealing: flags & 4 != 0,
             net_digest,
             atom_ticks: ticks,
             masks_digest,
@@ -687,7 +682,6 @@ mod tests {
             },
             reduce_clocks: splitmix64(&mut rng).is_multiple_of(2),
             symmetry: splitmix64(&mut rng).is_multiple_of(2),
-            work_stealing: splitmix64(&mut rng).is_multiple_of(2),
             net_digest: splitmix64(&mut rng),
             atom_ticks: (0..(splitmix64(&mut rng) % 12))
                 .map(|_| splitmix64(&mut rng) as i64 % 1_000_000)

@@ -96,8 +96,8 @@ pub use monitor::{
     PteMonitor, TransitionCtx, ViolationKind,
 };
 pub use reach::{
-    check, check_monitored, CancelToken, Extrapolation, Limits, Progress, ProgressFn, Scheduler,
-    SearchStats, SymbolicCounterExample, SymbolicVerdict, TrippedLimit,
+    check, check_monitored, CancelToken, Extrapolation, Limits, Progress, ProgressFn, SearchStats,
+    SymbolicCounterExample, SymbolicVerdict, TrippedLimit,
 };
 pub use symmetry::{demo_fleet, detect as detect_symmetry, SymGroup, Symmetry};
 pub use ta::LuBounds;

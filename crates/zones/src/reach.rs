@@ -140,8 +140,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Cooperative cancellation handle: a cheaply clonable flag the engine
-/// polls at every BFS round boundary (and the exhaustive explorer polls
-/// between runs). Firing it turns the search into an
+/// polls at every BFS round boundary. Firing it turns the search into an
 /// [`SymbolicVerdict::OutOfBudget`] with [`TrippedLimit::Cancelled`]
 /// within one layer — a cancelled search never reports `Safe` or
 /// `Unsafe`, so cancellation can only lose work, never soundness.
@@ -168,26 +167,22 @@ impl CancelToken {
 }
 
 /// One progress snapshot, emitted through [`Limits::progress`] at every
-/// BFS round boundary (and by the exhaustive explorer between batches
-/// of runs). Observational only: the callback cannot influence the
-/// verdict except by firing a [`CancelToken`].
+/// BFS round boundary. Observational only: the callback cannot
+/// influence the verdict except by firing a [`CancelToken`].
 #[derive(Clone, Copy, Debug)]
 pub struct Progress {
-    /// BFS round (zone engine) or reporting tick (exhaustive explorer).
+    /// BFS round.
     pub round: usize,
-    /// Settled symbolic states so far (zone engine) or completed runs
-    /// (exhaustive explorer).
+    /// Settled symbolic states so far.
     pub settled: usize,
-    /// Frontier states awaiting expansion (zone engine) or runs still
-    /// to execute (exhaustive explorer).
+    /// Frontier states awaiting expansion.
     pub frontier: usize,
     /// Wall-clock time since the search started.
     pub elapsed: Duration,
 }
 
 /// Shared, thread-safe progress callback (the engine invokes it from
-/// the coordinator thread only; the exhaustive explorer from one
-/// designated worker).
+/// the coordinator thread only).
 pub type ProgressFn = Arc<dyn Fn(&Progress) + Send + std::marker::Sync>;
 
 /// A symbolic counter-example: an interleaving of discrete actions
@@ -253,10 +248,6 @@ pub struct SearchStats {
     /// [`SearchStats::states`] counts orbit representatives, one per
     /// explored orbit.
     pub orbits: usize,
-    /// Successful steals by the work-stealing scheduler
-    /// ([`Scheduler::WorkStealing`]); `0` under the round-barrier
-    /// scheduler.
-    pub steals: usize,
     /// Passed-list entries admitted from a prior run's artifact
     /// ([`Limits::warm_start`]). Non-zero only when the warm-start
     /// gates all passed and the search was answered by proof transfer;
@@ -272,8 +263,8 @@ pub enum TrippedLimit {
     /// [`Limits::max_wall`] was exceeded (carries the budget).
     WallClock(Duration),
     /// [`Limits::cancel`] was fired mid-search (cooperative
-    /// cancellation, e.g. by a portfolio race that already has a
-    /// conclusive verdict from another backend).
+    /// cancellation, e.g. a client's `Cancel` frame or a daemon
+    /// drain).
     Cancelled,
 }
 
@@ -360,32 +351,6 @@ pub enum Extrapolation {
     ExtraLu,
 }
 
-/// Frontier scheduling strategy of the parallel exploration.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Layered BFS with two condvar-coordinated phases per round — the
-    /// default. Verdict, counter-example, **and every statistic**
-    /// (settled states, passed-list bytes) are bit-identical at every
-    /// worker count, which is what the daemon's report cache and the
-    /// campaign's byte-identical shells pin down.
-    #[default]
-    RoundBarrier,
-    /// Decentralized work-stealing frontier: per-worker Chase–Lev-style
-    /// deques (owner pops newest, thieves steal oldest), termination
-    /// via a shared in-flight counter — no per-round barrier, so deep
-    /// or irregular state spaces keep every core busy. Determinism is
-    /// **per-result, not per-run**: the verdict classification is
-    /// deterministic, and any `Unsafe` is post-hoc minimized by a
-    /// deterministic re-search, so the reported counter-example text
-    /// is bit-identical across 1/2/4/8 workers and to the
-    /// round-barrier scheduler — but Safe-side statistics (states,
-    /// subsumption counts, bytes) are scheduling-dependent, budget
-    /// limits trip at slightly different points run-to-run, and
-    /// [`Progress::round`] counts reporting ticks rather than BFS
-    /// layers.
-    WorkStealing,
-}
-
 /// Exploration limits and engine knobs.
 #[derive(Clone)]
 pub struct Limits {
@@ -394,8 +359,8 @@ pub struct Limits {
     /// Worker threads for the parallel exploration; `1` (the library
     /// default) explores on the calling thread — fully reproducible
     /// single-core cost — while `0` means one worker per available CPU
-    /// (what `pte_verify::api` resolves `Auto`/`Portfolio` requests to,
-    /// so the front door is fast out of the box). The verdict is
+    /// (what `pte_verify::api` resolves `Auto` requests to, so the
+    /// front door is fast out of the box). The verdict is
     /// identical for every value.
     pub max_workers: usize,
     /// Optional wall-clock budget, checked at round boundaries. `None`
@@ -434,12 +399,6 @@ pub struct Limits {
     /// deterministic unquotiented search so the counter-example text
     /// is bit-identical to a `symmetry: false` run.
     pub symmetry: bool,
-    /// Frontier scheduling strategy (see [`Scheduler`]). The default
-    /// round barrier keeps every statistic bit-stable across worker
-    /// counts; work-stealing trades that for throughput on deep state
-    /// spaces while keeping verdicts and counter-example text
-    /// deterministic.
-    pub scheduler: Scheduler,
     /// Optional prior-run artifact to warm-start from. The engine
     /// re-validates it against the new model (see
     /// [`crate::artifact`]'s module docs for the gates: identical
@@ -468,7 +427,6 @@ impl Default for Limits {
             progress: None,
             reduce_clocks: true,
             symmetry: true,
-            scheduler: Scheduler::default(),
             warm_start: None,
             capture: None,
         }
@@ -486,7 +444,6 @@ impl fmt::Debug for Limits {
             .field("progress", &self.progress.as_ref().map(|_| "<callback>"))
             .field("reduce_clocks", &self.reduce_clocks)
             .field("symmetry", &self.symmetry)
-            .field("scheduler", &self.scheduler)
             .field(
                 "warm_start",
                 &self
@@ -778,12 +735,11 @@ pub(crate) fn check_analyzed(
     match check_monitored_with(rnet, &monitor, limits, masks, false)? {
         // Rerun-on-violation: the reduced search is the fast path for
         // proofs; a falsification is re-derived on the unreduced
-        // network — with the quotient and the work-stealing scheduler
-        // off — so the counter-example text (clock names, zone
-        // constraints, step list) is byte-identical to a run with
-        // every acceleration off: the engine's determinism guarantee
-        // extended across all three knobs. Freeing dead clocks,
-        // folding orbits, and reordering exploration never remove a
+        // network — with the quotient off — so the counter-example
+        // text (clock names, zone constraints, step list) is
+        // byte-identical to a run with every acceleration off: the
+        // engine's determinism guarantee extended across both knobs.
+        // Freeing dead clocks and folding orbits never remove a
         // reachable violation, so the rerun finds a violation too; if
         // it instead trips a budget first, that inconclusive verdict
         // is returned as-is — conservative, never wrong.
@@ -791,7 +747,6 @@ pub(crate) fn check_analyzed(
             let mut legacy = limits.clone();
             legacy.reduce_clocks = false;
             legacy.symmetry = false;
-            legacy.scheduler = Scheduler::RoundBarrier;
             // The rerun exists only to render the counter-example on
             // the unreduced network: it must neither consume the warm
             // artifact (captured on the *reduced* network) nor emit one.
@@ -834,12 +789,12 @@ pub fn check_monitored(
 /// free live clocks and lose soundness, hence not public).
 ///
 /// `det_rerun` controls the determinism-by-post-minimization contract:
-/// when an *accelerated* run (symmetry quotient active, or the
-/// work-stealing scheduler) finds a violation, the check is re-run
-/// with both accelerations off so the reported counter-example is the
-/// deterministic lexicographically-least one — bit-identical at every
-/// worker count and with `symmetry: false`. [`check`] passes `false`
-/// because it re-derives violations itself (on the unreduced network).
+/// when a run with the symmetry quotient active finds a violation, the
+/// check is re-run with the quotient off so the reported
+/// counter-example is the deterministic lexicographically-least one —
+/// bit-identical at every worker count and with `symmetry: false`.
+/// [`check`] passes `false` because it re-derives violations itself
+/// (on the unreduced network).
 fn check_monitored_with(
     net: &TaNetwork,
     monitor: &dyn Monitor,
@@ -969,7 +924,7 @@ fn check_monitored_with(
     } else {
         None
     };
-    let accelerated = symmetry.is_some() || limits.scheduler == Scheduler::WorkStealing;
+    let quotiented = symmetry.is_some();
 
     let engine = Engine {
         net,
@@ -996,16 +951,15 @@ fn check_monitored_with(
         }
     }
     drop(engine);
-    if det_rerun && accelerated && verdict.is_unsafe() {
+    if det_rerun && quotiented && verdict.is_unsafe() {
         // Determinism by post-hoc minimization: re-derive the
-        // counter-example with the quotient and work-stealing off.
-        // The accelerated search explores the same reachable set up
-        // to symmetry, so the deterministic rerun finds a violation
-        // too; if it trips a budget first, that inconclusive verdict
-        // is returned — conservative, never wrong.
+        // counter-example with the quotient off. The quotiented search
+        // explores the same reachable set up to symmetry, so the
+        // deterministic rerun finds a violation too; if it trips a
+        // budget first, that inconclusive verdict is returned —
+        // conservative, never wrong.
         let mut det = limits.clone();
         det.symmetry = false;
-        det.scheduler = Scheduler::RoundBarrier;
         det.warm_start = None;
         det.capture = None;
         return check_monitored_with(net, monitor, &det, masks, false);
@@ -1078,9 +1032,7 @@ fn try_warm_start(
 
 /// Serializes the engine's passed list into a [`PassedArtifact`]:
 /// shards in index order, keys in intern-id (first-intern) order, one
-/// entry per settled node — deterministic under the round-barrier
-/// scheduler, and a valid (if scheduling-dependent) proof under
-/// work-stealing.
+/// entry per settled node — deterministic at every worker count.
 fn capture_artifact(
     engine: &Engine<'_>,
     limits: &Limits,
@@ -1107,7 +1059,6 @@ fn capture_artifact(
         extrapolation: limits.extrapolation,
         reduce_clocks: limits.reduce_clocks,
         symmetry: engine.symmetry.is_some(),
-        work_stealing: limits.scheduler == Scheduler::WorkStealing,
         net_digest: net_structure_digest(engine.net),
         atom_ticks: atom_ticks(engine.net),
         masks_digest: masks_digest(masks),
@@ -1190,83 +1141,8 @@ impl RoundSync {
     }
 }
 
-/// Stop causes of the work-stealing scheduler ([`WsShared::stop`]).
-/// The first worker to observe a cause CASes it in; everyone else
-/// drains out at the next loop head.
-const WS_RUNNING: usize = 0;
-const WS_VIOLATION: usize = 1;
-const WS_CANCELLED: usize = 2;
-const WS_MAX_STATES: usize = 3;
-const WS_WALL: usize = 4;
-const WS_PANIC: usize = 5;
-
-/// Shared state of the work-stealing scheduler
-/// ([`Scheduler::WorkStealing`]): per-worker deques over the same
-/// sharded passed list the round-barrier scheduler uses, plus the
-/// in-flight counter that detects distributed termination.
-struct WsShared {
-    /// One deque per worker, Chase–Lev discipline: the owner pushes and
-    /// pops the front (newest — locally depth-first, cache-warm),
-    /// thieves steal from the back (oldest — closest to the root, so a
-    /// steal transfers the largest expected subtree per lock
-    /// acquisition).
-    deques: Vec<Mutex<VecDeque<FrontierEntry>>>,
-    /// Frontier entries admitted but not yet *fully expanded*. A
-    /// worker increments it for every child **before** decrementing it
-    /// for the parent, so the counter can only reach 0 when no work
-    /// exists anywhere — all deques empty + `inflight == 0` is the
-    /// termination condition, with no barrier and no idle-round
-    /// spinning.
-    inflight: AtomicUsize,
-    /// Settled states (passed-list admissions) so far.
-    states: AtomicUsize,
-    /// One of the `WS_*` causes above.
-    stop: AtomicUsize,
-    transitions: AtomicUsize,
-    subsumed: AtomicUsize,
-    folded: AtomicUsize,
-    steals: AtomicUsize,
-    /// Violations found before the stop flag halted expansion.
-    violations: Mutex<Vec<(Option<NodeId>, Violation)>>,
-}
-
-impl WsShared {
-    fn new(workers: usize) -> WsShared {
-        WsShared {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            inflight: AtomicUsize::new(0),
-            states: AtomicUsize::new(0),
-            stop: AtomicUsize::new(WS_RUNNING),
-            transitions: AtomicUsize::new(0),
-            subsumed: AtomicUsize::new(0),
-            folded: AtomicUsize::new(0),
-            steals: AtomicUsize::new(0),
-            violations: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Races `cause` into the stop flag; the first cause wins and
-    /// everyone drains out. Idempotent, never blocks.
-    fn halt(&self, cause: usize) {
-        let _ = self
-            .stop
-            .compare_exchange(WS_RUNNING, cause, Ordering::AcqRel, Ordering::Acquire);
-    }
-
-    fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Acquire) != WS_RUNNING
-    }
-}
-
 impl Engine<'_> {
     fn run(&self, limits: &Limits) -> SymbolicVerdict {
-        match limits.scheduler {
-            Scheduler::RoundBarrier => self.run_barrier(limits),
-            Scheduler::WorkStealing => self.run_ws(limits),
-        }
-    }
-
-    fn run_barrier(&self, limits: &Limits) -> SymbolicVerdict {
         let workers = limits.effective_workers().max(1);
         let sync = RoundSync::new();
         if workers == 1 {
@@ -1651,305 +1527,6 @@ impl Engine<'_> {
         (admitted, subsumed)
     }
 
-    /// The work-stealing scheduler ([`Scheduler::WorkStealing`]): seeds
-    /// the search, then runs `workers` symmetric workers over
-    /// [`WsShared`] until the in-flight counter hits zero or a stop
-    /// cause fires. Shares every passed-list structure (shards,
-    /// interning, subsumption, compression) with the round-barrier
-    /// scheduler — only the frontier discipline differs.
-    fn run_ws(&self, limits: &Limits) -> SymbolicVerdict {
-        let workers = limits.effective_workers().max(1);
-        let started = Instant::now();
-        let mut stats = SearchStats {
-            dbm_clocks: self.nclocks,
-            dbm_clocks_unreduced: self.nclocks,
-            ..SearchStats::default()
-        };
-        let shared = WsShared::new(workers);
-
-        // Seed: resolve + cook + admit the initial state on this
-        // thread, so every worker starts against a populated deque 0.
-        let mut pool = DbmPool::new();
-        let mut local = LocalStats::default();
-        let init = Work {
-            locs: self.net.automata.iter().map(|a| a.initial as u32).collect(),
-            mon: self.monitor.initial_state(),
-            zone: Dbm::zero(self.nclocks),
-            queue: VecDeque::new(),
-            acts: vec![Act::Initial],
-        };
-        let mut settled = Vec::new();
-        let mut violations: Vec<(Option<NodeId>, Violation)> = Vec::new();
-        match self.resolve(init, 0, &mut settled, &mut local, &mut pool) {
-            Ok(()) => {}
-            Err(v) => violations.push((None, *v)),
-        }
-        let mut seeds = Vec::new();
-        for w in settled {
-            match self.cook(w, None, &mut local, &mut pool) {
-                Ok(Some(c)) => {
-                    let s = shard_of(&c.key);
-                    if let Some(f) = self.ws_admit(s, c, &shared, &mut local, &mut pool) {
-                        seeds.push(f);
-                    }
-                }
-                Ok(None) => {}
-                Err(v) => violations.push((None, *v)),
-            }
-        }
-        shared
-            .transitions
-            .fetch_add(local.transitions, Ordering::Relaxed);
-        shared.subsumed.fetch_add(local.subsumed, Ordering::Relaxed);
-        shared.folded.fetch_add(local.folded, Ordering::Relaxed);
-        if !violations.is_empty() {
-            return self.least_counter_example(violations);
-        }
-        shared.inflight.fetch_add(seeds.len(), Ordering::AcqRel);
-        shared.deques[0].lock().extend(seeds);
-
-        // This thread is worker 0; helpers are 1..workers. Panics are
-        // caught so siblings drain out via the stop flag instead of
-        // spinning on an in-flight count that will never reach zero.
-        let panicked = AtomicBool::new(false);
-        let guarded = |wid: usize| {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.ws_worker(&shared, limits, wid, workers, started)
-            }));
-            if outcome.is_err() {
-                panicked.store(true, Ordering::Release);
-                shared.stop.store(WS_PANIC, Ordering::Release);
-            }
-        };
-        if workers == 1 {
-            guarded(0);
-        } else {
-            crossbeam::thread::scope(|scope| {
-                for wid in 1..workers {
-                    let guarded = &guarded;
-                    scope.spawn(move |_| guarded(wid));
-                }
-                guarded(0);
-            })
-            .expect("worker pool scope");
-        }
-        if panicked.load(Ordering::Acquire) {
-            panic!("symbolic exploration worker panicked; aborting the check");
-        }
-
-        stats.states = shared.states.load(Ordering::Relaxed);
-        stats.transitions = shared.transitions.load(Ordering::Relaxed);
-        stats.subsumed = shared.subsumed.load(Ordering::Relaxed);
-        stats.orbits = shared.folded.load(Ordering::Relaxed);
-        stats.steals = shared.steals.load(Ordering::Relaxed);
-        self.fold_passed_bytes(&mut stats);
-        match shared.stop.load(Ordering::Acquire) {
-            WS_VIOLATION => {
-                let violations = std::mem::take(&mut *shared.violations.lock());
-                self.least_counter_example(violations)
-            }
-            WS_RUNNING => {
-                stats.frontier = 0;
-                SymbolicVerdict::Safe(stats)
-            }
-            cause => {
-                stats.frontier = shared.deques.iter().map(|d| d.lock().len()).sum();
-                let tripped = match cause {
-                    WS_CANCELLED => TrippedLimit::Cancelled,
-                    WS_MAX_STATES => TrippedLimit::MaxStates(limits.max_states),
-                    _ => TrippedLimit::WallClock(limits.max_wall.unwrap_or_default()),
-                };
-                SymbolicVerdict::OutOfBudget { stats, tripped }
-            }
-        }
-    }
-
-    /// One work-stealing worker: pop own newest, else steal someone
-    /// else's oldest, else terminate when nothing is in flight. Budget
-    /// and cancellation checks run every 64 loop iterations (cheap
-    /// enough to not serialize workers, frequent enough that a fired
-    /// token drains the pool within milliseconds).
-    fn ws_worker(
-        &self,
-        shared: &WsShared,
-        limits: &Limits,
-        wid: usize,
-        workers: usize,
-        started: Instant,
-    ) {
-        let mut pool = DbmPool::new();
-        let mut local = LocalStats::default();
-        let mut steals = 0usize;
-        let mut tick = 0usize;
-        while !shared.stopped() {
-            tick = tick.wrapping_add(1);
-            if tick.is_multiple_of(64) {
-                if limits
-                    .cancel
-                    .as_ref()
-                    .is_some_and(CancelToken::is_cancelled)
-                {
-                    shared.halt(WS_CANCELLED);
-                }
-                if let Some(budget) = limits.max_wall {
-                    if started.elapsed() > budget {
-                        shared.halt(WS_WALL);
-                    }
-                }
-                if wid == 0 {
-                    if let Some(report) = &limits.progress {
-                        report(&Progress {
-                            round: tick / 64,
-                            settled: shared.states.load(Ordering::Relaxed),
-                            frontier: shared.inflight.load(Ordering::Relaxed),
-                            elapsed: started.elapsed(),
-                        });
-                    }
-                }
-            }
-            // Own deque first, its guard dropped before any victim is
-            // locked: holding it while stealing lets two idle workers
-            // each wait on the other's lock forever.
-            let own = shared.deques[wid].lock().pop_front();
-            let entry = own.or_else(|| {
-                (1..workers).find_map(|d| {
-                    let stolen = shared.deques[(wid + d) % workers].lock().pop_back();
-                    if stolen.is_some() {
-                        steals += 1;
-                    }
-                    stolen
-                })
-            });
-            let Some(entry) = entry else {
-                if shared.inflight.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                std::thread::yield_now();
-                continue;
-            };
-            self.ws_expand_entry(entry, shared, limits, wid, &mut local, &mut pool);
-            // Decremented only after the children's increments above —
-            // the order that makes `inflight == 0` mean "done".
-            shared.inflight.fetch_sub(1, Ordering::AcqRel);
-        }
-        shared
-            .transitions
-            .fetch_add(local.transitions, Ordering::Relaxed);
-        shared.subsumed.fetch_add(local.subsumed, Ordering::Relaxed);
-        shared.folded.fetch_add(local.folded, Ordering::Relaxed);
-        shared.steals.fetch_add(steals, Ordering::Relaxed);
-    }
-
-    /// Expands one frontier entry under the work-stealing scheduler:
-    /// violations stop the pool (siblings' candidates are discarded —
-    /// the deterministic re-search re-derives the minimal witness),
-    /// survivors are admitted immediately and pushed onto the worker's
-    /// own deque.
-    fn ws_expand_entry(
-        &self,
-        entry: FrontierEntry,
-        shared: &WsShared,
-        limits: &Limits,
-        wid: usize,
-        local: &mut LocalStats,
-        pool: &mut DbmPool,
-    ) {
-        let mut staged: Vec<Vec<Candidate>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
-        let mut violations = Vec::new();
-        self.expand(&entry, &mut staged, &mut violations, local, pool);
-        pool.recycle(entry.zone);
-        if !violations.is_empty() {
-            shared.violations.lock().append(&mut violations);
-            shared.halt(WS_VIOLATION);
-            for batch in staged {
-                for c in batch {
-                    pool.recycle(c.zone);
-                }
-            }
-            return;
-        }
-        let mut fresh = Vec::new();
-        for (s, batch) in staged.into_iter().enumerate() {
-            for c in batch {
-                if let Some(f) = self.ws_admit(s, c, shared, local, pool) {
-                    fresh.push(f);
-                }
-            }
-        }
-        if shared.states.load(Ordering::Relaxed) > limits.max_states {
-            shared.halt(WS_MAX_STATES);
-        }
-        if !fresh.is_empty() {
-            // Children in flight *before* the caller retires the parent.
-            shared.inflight.fetch_add(fresh.len(), Ordering::AcqRel);
-            let mut own = shared.deques[wid].lock();
-            for f in fresh {
-                own.push_front(f);
-            }
-        }
-    }
-
-    /// Admits a single candidate under its shard lock — the same
-    /// intern/subsume/reduce/store sequence as [`Engine::admit_work`],
-    /// minus the content-defined batch ordering (the work-stealing
-    /// passed list is scheduling-dependent by contract).
-    fn ws_admit(
-        &self,
-        s: usize,
-        c: Candidate,
-        shared: &WsShared,
-        local: &mut LocalStats,
-        pool: &mut DbmPool,
-    ) -> Option<FrontierEntry> {
-        debug_assert!(
-            c.zone.closed_through_zero(),
-            "candidates must arrive canonical"
-        );
-        let mut shard = self.shards[s].lock();
-        let Shard {
-            keys,
-            buckets,
-            nodes,
-            min_bytes,
-            full_bytes,
-            ..
-        } = &mut *shard;
-        let (kid, new_key) = keys.intern(&c.key);
-        if new_key {
-            buckets.push(Vec::new());
-        }
-        let bucket = &mut buckets[kid as usize];
-        if bucket
-            .iter()
-            .any(|&ni| nodes[ni as usize].zone.includes(&c.zone))
-        {
-            local.subsumed += 1;
-            pool.recycle(c.zone);
-            return None;
-        }
-        let reduced = c.zone.reduce();
-        *min_bytes += reduced.heap_bytes();
-        *full_bytes += reduced.full_matrix_bytes();
-        let idx = nodes.len() as u32;
-        nodes.push(Node {
-            zone: reduced,
-            parent: c.parent,
-            acts: c.acts.into_boxed_slice(),
-        });
-        bucket.push(idx);
-        drop(shard);
-        shared.states.fetch_add(1, Ordering::Relaxed);
-        Some(FrontierEntry {
-            id: NodeId {
-                shard: s as u32,
-                idx,
-            },
-            locs: c.key.0,
-            mon: c.key.1,
-            zone: c.zone,
-        })
-    }
-
     /// Expands one settled state: fires every spontaneous/external edge,
     /// resolves the emission cascade, cooks the settled successors into
     /// shard-staged candidates, and records violations. A violation in
@@ -2328,7 +1905,7 @@ impl Engine<'_> {
         // owned clocks in the zone) before the key is built, so the
         // probe, interning, and admission all see one representative
         // per orbit. A pure function of the state — deterministic
-        // regardless of worker count or scheduler.
+        // regardless of worker count.
         if let Some(sym) = &self.symmetry {
             if let Some(canon) = sym.canonicalize(&mut w.locs, &w.zone) {
                 local.folded += 1;

@@ -221,6 +221,38 @@ fn chain_models_are_globally_irreducible_but_have_dead_clocks() {
     }
 }
 
+/// Activity masks cover at most 64 clocks. Chain-32 lowers to 65, so its
+/// analysis warns that the search runs without them; chain-28 (57
+/// clocks) is still covered and stays quiet.
+#[test]
+fn masks_disabled_above_64_clocks_is_reported() {
+    let masks_disabled = |n: usize| {
+        let a =
+            pte_zones::analyze_lease_pattern(&LeaseConfig::chain(n), true).expect("chain lowers");
+        let warnings: Vec<_> = a
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "masks-disabled")
+            .cloned()
+            .collect();
+        (a.activity.clocks, warnings)
+    };
+    let (clocks, warnings) = masks_disabled(32);
+    assert_eq!(clocks, 0, "chain-32 runs without masks");
+    assert_eq!(warnings.len(), 1, "{warnings:?}");
+    assert_eq!(warnings[0].severity, Severity::Warning);
+    assert!(warnings[0].automaton.is_none() && warnings[0].site.is_none());
+    assert!(
+        warnings[0].message.starts_with("65 clocks"),
+        "{}",
+        warnings[0]
+    );
+
+    let (clocks, warnings) = masks_disabled(28);
+    assert_eq!(clocks, 57, "chain-28 keeps its masks");
+    assert!(warnings.is_empty(), "{warnings:?}");
+}
+
 /// Runs one arm of a chain config at one worker count, reduction on or
 /// off, and renders the verdict.
 fn run(cfg: &LeaseConfig, leased: bool, workers: usize, reduce: bool) -> SymbolicVerdict {

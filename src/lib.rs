@@ -17,8 +17,9 @@
 //! * [`tracheotomy`] — the Section V laser tracheotomy case study;
 //! * [`verify`] — Monte-Carlo / exhaustive / adversarial verification,
 //!   plus the unified `verify::api` session layer (one
-//!   `VerificationRequest` front door over every backend, with
-//!   portfolio racing, cancellation, and streaming progress);
+//!   `VerificationRequest` front door whose `Auto` selection runs the
+//!   analytic c1–c7 check, then the zone search, with cancellation and
+//!   streaming progress);
 //! * [`zones`] — symbolic zone-based (DBM) reachability: the fourth
 //!   verification backend — a property-agnostic engine plus a
 //!   safety-monitor layer — proving PTE safety (or any composed
