@@ -15,11 +15,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pte_core::pattern::LeaseConfig;
 use pte_zones::dbm::{Bound, Dbm};
-use pte_zones::reach::check_monitored;
-use pte_zones::{
-    check_lease_pattern_with, demo_fleet, lower_network, Extrapolation, Limits,
-    LocationReachMonitor, SymbolicVerdict,
-};
+use pte_zones::{check_lease_pattern_with, lower_network, Extrapolation, Limits, SymbolicVerdict};
 use std::time::Instant;
 
 fn case_limits() -> Limits {
@@ -190,8 +186,8 @@ fn bench_passed_compression(_c: &mut Criterion) {
 /// safety proof for `chain-2` … `chain-8` (the registry's scalable
 /// scenario family), run with the default engine — static analysis on,
 /// so the rows track what `check` actually does. The unreduced
-/// trajectory (≈ 57k states at `chain-4`, ≈ 477k at `chain-6`) is
-/// recorded separately by [`reduction_rows`]. The measured rows are
+/// `chain-4` proof (≈ 57k states) is recorded separately by
+/// [`reduction_row`]. The measured rows are
 /// printed and carried into `BENCH_zones.json` by [`emit_bench_json`];
 /// the bench gate requires the `chain-8` row, so a regression that
 /// makes the deep chain infeasible fails CI instead of dropping a row.
@@ -231,63 +227,61 @@ fn chain_scaling_rows() -> Vec<pte_bench::ScalingRow> {
     rows
 }
 
-/// Reduced-vs-unreduced ablation: the chain-4 and chain-6 leased
-/// safety proofs run with the static analysis pass on
-/// (`Limits::reduce_clocks = true`, the default) and off. Chains are
-/// globally clock-irreducible — every clock is live during the
-/// innermost nested lease, so the DBM dimension is identical across
-/// arms — but the per-location activity masks collapse the idle-device
-/// interleavings, and the states/sec improvement is asserted so the
-/// payoff can't silently bit-rot. One run per arm: the unreduced
-/// chain-6 proof settles ≈ 477k states, far too slow for best-of-5.
-fn reduction_rows() -> Vec<pte_bench::ReductionRow> {
-    let mut rows = Vec::new();
-    for n in [4usize, 6] {
-        let cfg = LeaseConfig::chain(n);
-        let arm = |reduce: bool| -> (usize, usize, f64, f64) {
-            let limits = Limits {
-                max_states: 600_000,
-                reduce_clocks: reduce,
-                ..Limits::default()
-            };
-            let t = Instant::now();
-            let verdict = check_lease_pattern_with(&cfg, true, &limits).unwrap();
-            let secs = t.elapsed().as_secs_f64();
-            let SymbolicVerdict::Safe(stats) = verdict else {
-                panic!("chain-{n} leased must be safe (reduce={reduce})");
-            };
-            (
-                stats.dbm_clocks,
-                stats.states,
-                secs,
-                stats.states as f64 / secs,
-            )
+/// Reduced-vs-unreduced ablation: the chain-4 leased safety proof run
+/// with the static analysis pass on (`Limits::reduce_clocks = true`,
+/// the default) and off. Chains are globally clock-irreducible — every
+/// clock is live during the innermost nested lease, so the DBM
+/// dimension is identical across arms — but the per-location activity
+/// masks collapse the idle-device interleavings, and the states/sec
+/// improvement is asserted so the payoff can't silently bit-rot. One
+/// run per arm: the unreduced proof settles ≈ 57k states. Larger
+/// chains make the same point at far greater cost (unreduced chain-6
+/// settles ≈ 477k states in over two minutes), so they are not rerun.
+fn reduction_row() -> pte_bench::ReductionRow {
+    let n = 4usize;
+    let cfg = LeaseConfig::chain(n);
+    let arm = |reduce: bool| -> (usize, usize, f64, f64) {
+        let limits = Limits {
+            max_states: 600_000,
+            reduce_clocks: reduce,
+            ..Limits::default()
         };
-        let (clocks_r, states_r, secs_r, rate_r) = arm(true);
-        let (clocks_u, states_u, secs_u, rate_u) = arm(false);
-        println!(
-            "bench: symbolic_reduction/chain-{n}                        \
-             reduced {clocks_r} clocks / {states_r} states / {:.0} ms vs \
-             unreduced {clocks_u} clocks / {states_u} states / {:.0} ms",
-            secs_r * 1e3,
-            secs_u * 1e3,
-        );
-        assert!(
-            secs_r < secs_u && rate_r > rate_u,
-            "the analysis pass must speed chain-{n} up \
-             (reduced {:.0} ms vs unreduced {:.0} ms)",
-            secs_r * 1e3,
-            secs_u * 1e3
-        );
-        rows.push(pte_bench::ReductionRow {
-            scenario: format!("chain-{n}"),
-            clocks_reduced: clocks_r,
-            clocks_unreduced: clocks_u,
-            reduced: (states_r, secs_r, rate_r),
-            unreduced: (states_u, secs_u, rate_u),
-        });
+        let t = Instant::now();
+        let verdict = check_lease_pattern_with(&cfg, true, &limits).unwrap();
+        let secs = t.elapsed().as_secs_f64();
+        let SymbolicVerdict::Safe(stats) = verdict else {
+            panic!("chain-{n} leased must be safe (reduce={reduce})");
+        };
+        (
+            stats.dbm_clocks,
+            stats.states,
+            secs,
+            stats.states as f64 / secs,
+        )
+    };
+    let (clocks_r, states_r, secs_r, rate_r) = arm(true);
+    let (clocks_u, states_u, secs_u, rate_u) = arm(false);
+    println!(
+        "bench: symbolic_reduction/chain-{n}                        \
+         reduced {clocks_r} clocks / {states_r} states / {:.0} ms vs \
+         unreduced {clocks_u} clocks / {states_u} states / {:.0} ms",
+        secs_r * 1e3,
+        secs_u * 1e3,
+    );
+    assert!(
+        secs_r < secs_u && rate_r > rate_u,
+        "the analysis pass must speed chain-{n} up \
+         (reduced {:.0} ms vs unreduced {:.0} ms)",
+        secs_r * 1e3,
+        secs_u * 1e3
+    );
+    pte_bench::ReductionRow {
+        scenario: format!("chain-{n}"),
+        clocks_reduced: clocks_r,
+        clocks_unreduced: clocks_u,
+        reduced: (states_r, secs_r, rate_r),
+        unreduced: (states_u, secs_u, rate_u),
     }
-    rows
 }
 
 /// Compositional-scale rows: chain-12/16/20 proved Safe through the
@@ -344,66 +338,11 @@ fn compositional_rows() -> Vec<pte_bench::CompositionalRow> {
     rows
 }
 
-/// Symmetry-quotient ablation on the structurally symmetric demo
-/// fleet (the lease chains are asymmetric, so the quotient
-/// self-disables there — measuring it on a chain would record a no-op).
-/// Each row is a full fleet exploration with the orbit quotient on and
-/// off: fleet-3 sequentially, fleet-4 at 4 workers (its unquotiented
-/// arm settles ≈ 130k states — the expensive run that motivates the
-/// quotient). The ≥ 5× state reduction is asserted per row so the
-/// acceptance number can't silently bit-rot, and one run per arm:
-/// the unquotiented fleet-4 exploration is far too slow for best-of-5.
-fn symmetry_rows() -> Vec<pte_bench::SymmetryRow> {
-    let mut rows = Vec::new();
-    for (devices, workers) in [(3usize, 1usize), (4, 4)] {
-        let arm = |symmetry: bool| -> (usize, f64, f64, usize) {
-            let limits = Limits {
-                max_states: 400_000,
-                max_workers: workers,
-                symmetry,
-                ..Limits::default()
-            };
-            let net = demo_fleet(devices);
-            let monitor = LocationReachMonitor::new(&net, &[]).unwrap();
-            let t = Instant::now();
-            let verdict = check_monitored(&net, &monitor, &limits).unwrap();
-            let secs = t.elapsed().as_secs_f64();
-            let SymbolicVerdict::Safe(stats) = verdict else {
-                panic!("fleet-{devices} exploration must settle (symmetry={symmetry})");
-            };
-            (stats.states, secs, stats.states as f64 / secs, stats.orbits)
-        };
-        let (states_q, secs_q, rate_q, orbits) = arm(true);
-        let (states_f, secs_f, rate_f, _) = arm(false);
-        println!(
-            "bench: symbolic_symmetry/fleet-{devices}                          \
-             quotient {states_q} states / {:.0} ms vs full {states_f} states / {:.0} ms \
-             ({:.1}x states, {orbits} orbits folded)",
-            secs_q * 1e3,
-            secs_f * 1e3,
-            states_f as f64 / states_q.max(1) as f64,
-        );
-        assert!(
-            states_q * 5 <= states_f,
-            "the quotient must shrink fleet-{devices} by ≥ 5× \
-             (quotient {states_q} vs full {states_f})"
-        );
-        assert!(orbits > 0, "the quotient must engage on the fleet");
-        rows.push(pte_bench::SymmetryRow {
-            model: format!("fleet-{devices}"),
-            quotient: (states_q, secs_q, rate_q),
-            full: (states_f, secs_f, rate_f),
-            orbits,
-        });
-    }
-    rows
-}
-
 /// Emits `BENCH_zones.json`: best-of-5 wall time of the leased
 /// case-study proof (plus the baseline falsification), settled states,
 /// states/sec, the passed-list byte accounting, the chain scaling
-/// rows, the reduced-vs-unreduced ablation rows, and the
-/// symmetry-quotient rows.
+/// rows, the reduced-vs-unreduced ablation row, and the compositional
+/// rows.
 fn emit_bench_json(_c: &mut Criterion) {
     let cfg = LeaseConfig::case_study();
     let limits = case_limits();
@@ -432,8 +371,7 @@ fn emit_bench_json(_c: &mut Criterion) {
     }
 
     let scaling = chain_scaling_rows();
-    let reduction = reduction_rows();
-    let symmetry = symmetry_rows();
+    let reduction = [reduction_row()];
     let compositional = compositional_rows();
     let path = std::env::var("BENCH_ZONES_JSON").unwrap_or_else(|_| "BENCH_zones.json".to_string());
     pte_bench::write_zones_bench_json(
@@ -444,7 +382,6 @@ fn emit_bench_json(_c: &mut Criterion) {
         &limits,
         &scaling,
         &reduction,
-        &symmetry,
         &compositional,
     );
 }

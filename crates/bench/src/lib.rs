@@ -74,25 +74,6 @@ pub struct ReductionRow {
     pub unreduced: (usize, f64, f64),
 }
 
-/// One symmetry-quotient measurement pair attached to
-/// `BENCH_zones.json`: the same full exploration run with the orbit
-/// quotient on and off ([`pte_zones::Limits::symmetry`]), on a
-/// structurally symmetric model ([`pte_zones::demo_fleet`] — the
-/// lease chains are asymmetric and auto-disable the quotient, so the
-/// honest payoff is measured where symmetry actually exists).
-#[derive(Clone, Debug)]
-pub struct SymmetryRow {
-    /// Model name (e.g. `fleet-4`).
-    pub model: String,
-    /// Settled states / wall seconds / states-per-sec, quotient on.
-    /// States count orbit *representatives*.
-    pub quotient: (usize, f64, f64),
-    /// Settled states / wall seconds / states-per-sec, quotient off.
-    pub full: (usize, f64, f64),
-    /// Successors the quotient folded onto an existing representative.
-    pub orbits: usize,
-}
-
 /// One compositional-verification measurement attached to
 /// `BENCH_zones.json`: a chain scenario proved Safe through the
 /// assume-guarantee argument (per-device refinement + abstract pair
@@ -118,8 +99,7 @@ pub struct CompositionalRow {
 /// `benches/zones.rs` and `campaign --bench-json`: wall time of the
 /// leased case-study proof, settled states, states/sec, the
 /// passed-list byte accounting, per-N chain scaling rows,
-/// reduced-vs-unreduced ablation rows, symmetry-quotient rows, and
-/// compositional-scale rows.
+/// reduced-vs-unreduced ablation rows, and compositional-scale rows.
 /// `falsify_secs` is the optional baseline-falsification timing (the
 /// bench measures it, the campaign does not). The emitted JSON is
 /// round-trip-validated before writing.
@@ -132,7 +112,6 @@ pub fn write_zones_bench_json(
     limits: &Limits,
     scaling: &[ScalingRow],
     reduction: &[ReductionRow],
-    symmetry: &[SymmetryRow],
     compositional: &[CompositionalRow],
 ) {
     let num_u = |u: usize| Value::Num(Number::U(u as u64));
@@ -209,31 +188,6 @@ pub fn write_zones_bench_json(
             })
             .collect();
         fields.push(("reduction".into(), Value::Arr(rows)));
-    }
-    if !symmetry.is_empty() {
-        let arm = |(states, secs, rate): (usize, f64, f64)| {
-            Value::Obj(vec![
-                ("settled_states".into(), num_u(states)),
-                ("wall_ms".into(), num_f(secs * 1e3)),
-                ("states_per_sec".into(), num_f(rate)),
-            ])
-        };
-        let rows: Vec<Value> = symmetry
-            .iter()
-            .map(|r| {
-                Value::Obj(vec![
-                    ("model".into(), Value::Str(r.model.clone())),
-                    ("quotient".into(), arm(r.quotient)),
-                    ("full".into(), arm(r.full)),
-                    ("orbits_folded".into(), num_u(r.orbits)),
-                    (
-                        "state_reduction".into(),
-                        num_f(r.full.0 as f64 / r.quotient.0.max(1) as f64),
-                    ),
-                ])
-            })
-            .collect();
-        fields.push(("symmetry".into(), Value::Arr(rows)));
     }
     if !compositional.is_empty() {
         let rows: Vec<Value> = compositional

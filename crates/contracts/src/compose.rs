@@ -5,9 +5,9 @@
 //!
 //! 1. **N refinement checks** — every device (Participant / Initializer)
 //!    must implement its [`lease_client`] contract, deduplicated across
-//!    structurally identical devices (symmetry groups from the PR 8
-//!    detector, generalized by a root-renaming structural digest) and
-//!    memoized in a process-global verdict cache keyed by that digest;
+//!    structurally identical devices by a root-renaming structural
+//!    digest and memoized in a process-global verdict cache keyed by
+//!    that digest;
 //! 2. **N−1 abstract pair checks** — one small network per safeguard pair
 //!    `(ξk, ξk+1)`: the *concrete* Supervisor (which owns every wind-down
 //!    budget clock, so all pair-relevant timing races survive), the two
@@ -34,7 +34,7 @@ use crate::refine::{refine, RefineLimits, RefineOutcome};
 use pte_core::pattern::{build_pattern_system, config::LeaseConfig};
 use pte_zones::lower::lower_network;
 use pte_zones::ta::{TaAutomaton, TaNetwork};
-use pte_zones::{check, detect_symmetry, Limits, ObserverSpec, SymbolicVerdict};
+use pte_zones::{check, Limits, ObserverSpec, SymbolicVerdict};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,13 +100,11 @@ pub struct CompositionalStats {
     pub contracts_total: usize,
     /// Refinement checks actually explored.
     pub contracts_checked: usize,
-    /// Slots skipped because a structurally identical device was already
-    /// checked this run (symmetry groups / equal structural digests).
+    /// Slots skipped because a structurally identical device (equal
+    /// root-renaming refinement digest) was already checked this run.
     pub contracts_deduped: usize,
     /// Slots answered from the process-global refinement verdict cache.
     pub contracts_cached: usize,
-    /// Symmetry groups reported by the PR 8 detector on the lowered net.
-    pub symmetry_groups: usize,
     /// State pairs admitted across all refinement checks.
     pub refine_pairs: usize,
     /// Successor pairs generated across all refinement checks.
@@ -220,10 +218,9 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// A digest of `(device, contract)` invariant under renaming event roots —
-/// two slots with equal digests are interchangeable for refinement, which
-/// both generalizes the PR 8 symmetry groups (whose members share roots
-/// verbatim) and catches `demo_fleet`-style uniform fleets whose members
-/// differ only in their channel indices.
+/// two slots with equal digests are interchangeable for refinement, so
+/// uniform fleets whose members differ only in their channel indices
+/// check one representative per shape.
 fn refinement_digest(device: &TaAutomaton, contract: &Contract) -> u64 {
     use std::fmt::Write as _;
     let mut names: HashMap<String, usize> = HashMap::new();
@@ -357,7 +354,6 @@ pub fn check_compositional(
     let net = lower_network(&sys.automata).map_err(|e| format!("lower: {e}"))?;
     let mut stats = CompositionalStats {
         contracts_total: cfg.n,
-        symmetry_groups: detect_symmetry(&net).groups.len(),
         ..CompositionalStats::default()
     };
 

@@ -443,6 +443,18 @@ fn submit(
             return;
         }
     };
+    // Cancel frames and disconnect teardown find a job by its submit
+    // id, so a second job under a running id would orphan the first.
+    // Only this connection's reader thread inserts ids, so the check
+    // cannot race an insert. `id: None` keeps the error from reading as
+    // the running job's failure.
+    if conn.inflight.lock().contains_key(&id) {
+        let _ = conn.send(&ServerFrame::Error {
+            id: None,
+            message: format!("submit id {id} is already in flight on this connection"),
+        });
+        return;
+    }
     conn.shared.submitted.fetch_add(1, Ordering::SeqCst);
     if !no_cache {
         let hit = conn.shared.cache.get(&key).or_else(|| {

@@ -15,7 +15,10 @@
 //! one connection; it correlates [`ServerFrame::Progress`] /
 //! [`ServerFrame::Report`] frames by the `id` it chose at
 //! [`ClientFrame::Submit`] time. Ids are client-scoped — two
-//! connections may both use id `1`.
+//! connections may both use id `1`. An id may be reused once its
+//! request has reported; a `Submit` that reuses an id still in flight
+//! on its connection gets an id-less [`ServerFrame::Error`], and the
+//! running request is left alone.
 //!
 //! ## Example transcript
 //!
@@ -135,7 +138,10 @@ pub enum ServerFrame {
         report: VerificationReport,
     },
     /// A frame-level failure: malformed JSON, unknown scenario, an
-    /// invalid request. Carries the submit id when one was parsable.
+    /// invalid request. Carries the submit id when one was parsable,
+    /// except for a `Submit` that reused an id still in flight: that
+    /// error carries none, so it is not read as the running request's
+    /// failure.
     Error {
         /// The offending submit id, if known.
         id: Option<u64>,

@@ -70,8 +70,8 @@ fn fast_request() -> VerificationRequest {
 }
 
 /// A request big enough that cancellation always lands while the
-/// search is still running (chain-6 explores ~477k states; the tests
-/// cancel it within milliseconds of admission).
+/// search is still running (the chain-6 proof settles 8 216 states;
+/// the tests cancel it within milliseconds of admission).
 fn slow_request() -> VerificationRequest {
     VerificationRequest::scenario("chain-6").backend(BackendSel::Symbolic)
 }
@@ -213,12 +213,18 @@ fn client_disconnect_cancels_in_flight_work() {
     }
     // The daemon notices the disconnect and cancels the orphaned job;
     // its worker slot returns to the budget within one BFS round.
-    let mut observer = Client::connect(&endpoint).expect("connect");
+    await_cancellation(&endpoint);
+    stop(&handle, serving);
+}
+
+/// Waits until every job has stopped and at least one was cancelled.
+fn await_cancellation(endpoint: &Endpoint) {
+    let mut observer = Client::connect(endpoint).expect("connect");
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let stats = observer.stats().expect("stats");
         if stats.cancelled >= 1 && stats.workers_in_use == 0 && stats.active == 0 {
-            break;
+            return;
         }
         assert!(
             Instant::now() < deadline,
@@ -226,6 +232,43 @@ fn client_disconnect_cancels_in_flight_work() {
         );
         thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// A `Submit` that reuses an id still in flight gets an id-less
+/// `Error` and leaves the running job alone: dropping the connection
+/// still cancels that job, because its token is still filed under the
+/// id.
+#[test]
+fn reused_in_flight_id_is_rejected_and_the_job_stays_cancellable() {
+    use pte_server::protocol::write_frame;
+    let (endpoint, handle, serving) = boot(2);
+    {
+        let (mut raw, mut reader) = raw_connection(&endpoint);
+        let submit = ClientFrame::Submit {
+            id: 7,
+            request: slow_request(),
+            no_cache: Some(true),
+        };
+        write_frame(&mut raw, &submit).expect("write");
+        match read_frame::<ServerFrame>(&mut reader).unwrap() {
+            Some(ServerFrame::Accepted { id: 7, .. }) => {}
+            other => panic!("expected Accepted, got {other:?}"),
+        }
+        write_frame(&mut raw, &submit).expect("write");
+        loop {
+            match read_frame::<ServerFrame>(&mut reader).unwrap() {
+                Some(ServerFrame::Error { id: None, message }) => {
+                    assert!(message.contains("id 7"), "{message}");
+                    break;
+                }
+                Some(ServerFrame::Progress { id: 7, .. }) => {}
+                other => panic!("expected an Error frame, got {other:?}"),
+            }
+        }
+        // Dropping the connection closes the socket with the first
+        // job still running.
+    }
+    await_cancellation(&endpoint);
     stop(&handle, serving);
 }
 

@@ -55,9 +55,12 @@
 //! [`Query::ConditionCheck`] the analytic check. The report lists the
 //! backends that ran, in run order, and takes its verdict, witness and
 //! tripped limit from the last one, so every `Unsafe` comes from the
-//! symbolic engine. `Auto` requests default to `max_workers = 0` (one
-//! symbolic worker per CPU) so the front door is fast out of the box;
-//! an explicit [`Budget::max_workers`] always wins.
+//! symbolic engine. The model is built, lowered and analyzed only when
+//! a zone search runs, so a request the analytic check decides never
+//! pays for it, and its report has no `analysis` summary. `Auto`
+//! requests default to `max_workers = 0` (one symbolic worker per CPU)
+//! so the front door is fast out of the box; an explicit
+//! [`Budget::max_workers`] always wins.
 //!
 //! A [`CancelToken`] passed to [`VerificationRequest::run_with`] stops
 //! the symbolic engine within one BFS layer; the report then says
@@ -96,6 +99,7 @@ use pte_zones::{
     ModelAnalysis, PassedArtifact, Progress, ProgressFn, SymbolicVerdict, TrippedLimit, ZonesError,
 };
 use serde::{Deserialize, Number, Serialize, Value};
+use std::cell::OnceCell;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -426,8 +430,13 @@ pub struct VerificationReport {
     pub tripped: Option<String>,
     /// Every backend that ran, in run order.
     pub backends: Vec<BackendStats>,
-    /// Static model analysis of the checked arm (`None` only when the
-    /// system does not lower to the clock-like fragment).
+    /// Static model analysis of the arm a monolithic zone search
+    /// explored: the symbolic backend's, or the compositional
+    /// fallback's. `None` when no such search ran (a report the
+    /// analytic check decided, or a compositional proof that closed
+    /// without fallback, whose pair searches analyze their own
+    /// networks) and when the system does not lower to the clock-like
+    /// fragment.
     pub analysis: Option<AnalysisSummary>,
     /// The compositional backend's per-stage counters, when it ran
     /// (mirrors [`BackendStats::compositional`] for convenient
@@ -776,8 +785,9 @@ impl VerificationRequest {
         self.resolved_profile()?;
         let started = Instant::now();
         let arm = Arm {
-            lowered: LoweredPattern::new(&cfg, self.leased),
             cfg,
+            leased: self.leased,
+            lowered: OnceCell::new(),
         };
         let mut backends = Vec::new();
         for &backend in self.members() {
@@ -805,13 +815,7 @@ impl VerificationRequest {
             winner: last.verdict.is_conclusive().then(|| last.backend.clone()),
             tripped: last.tripped.clone(),
             compositional: last.compositional.clone(),
-            // The static analysis summary the symbolic search read,
-            // deterministic per (config, arm).
-            analysis: arm
-                .lowered
-                .as_ref()
-                .ok()
-                .map(|p| AnalysisSummary::from(&p.analysis)),
+            analysis: arm.analysis(),
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
             backends,
         })
@@ -1284,7 +1288,7 @@ fn symbolic_location_reach(
     targets: &[(String, String)],
     limits: &Limits,
 ) -> Result<SymbolicVerdict, String> {
-    let net = &arm.lowered.as_ref().map_err(ZonesError::to_string)?.net;
+    let net = &arm.lowered()?.net;
     let queries: Vec<(&str, &str)> = targets
         .iter()
         .map(|(a, l)| (a.as_str(), l.as_str()))
@@ -1294,18 +1298,34 @@ fn symbolic_location_reach(
 }
 
 /// The system a request checks: its configuration, and that arm built,
-/// lowered and analyzed once — every symbolic search of the request and
-/// its report's analysis summary read the same [`LoweredPattern`].
+/// lowered and analyzed on first use. Only a monolithic zone search
+/// reads the lowered network, so a request the analytic check decides
+/// never builds it; every zone search of the request and its report's
+/// analysis summary read the same [`LoweredPattern`].
 struct Arm {
     cfg: LeaseConfig,
-    lowered: Result<LoweredPattern, ZonesError>,
+    leased: bool,
+    lowered: OnceCell<Result<LoweredPattern, ZonesError>>,
 }
 
 impl Arm {
+    /// This arm built, lowered and analyzed, on the first call.
+    fn lowered(&self) -> Result<&LoweredPattern, String> {
+        self.lowered
+            .get_or_init(|| LoweredPattern::new(&self.cfg, self.leased))
+            .as_ref()
+            .map_err(ZonesError::to_string)
+    }
+
     /// The PTE check of this arm on the symbolic engine.
     fn check(&self, limits: &Limits) -> Result<SymbolicVerdict, String> {
-        let lowered = self.lowered.as_ref().map_err(ZonesError::to_string)?;
-        lowered.check(limits).map_err(|e| e.to_string())
+        self.lowered()?.check(limits).map_err(|e| e.to_string())
+    }
+
+    /// The analysis summary of this arm, when a zone search lowered it.
+    fn analysis(&self) -> Option<AnalysisSummary> {
+        let lowered = self.lowered.get()?.as_ref().ok()?;
+        Some(AnalysisSummary::from(&lowered.analysis))
     }
 }
 

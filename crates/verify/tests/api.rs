@@ -80,9 +80,10 @@ fn ran(report: &VerificationReport) -> Vec<&str> {
 /// `Auto` on every registry scenario with N ≤ 8, both arms: the leased
 /// arm is proved by the analytic check alone; the lease-stripped arm
 /// leaves the analytic check inconclusive and is falsified by the zone
-/// search, with the witness `Symbolic` renders under the same budget.
-/// `LocationReach` runs only the zone search and `ConditionCheck` only
-/// the analytic check.
+/// search, with the witness and analysis summary `Symbolic` reports
+/// under the same budget (the leased report has no analysis: nothing
+/// lowered the model). `LocationReach` runs only the zone search and
+/// `ConditionCheck` only the analytic check.
 #[test]
 fn auto_runs_the_analytic_check_then_the_zone_search() {
     for s in pte_tracheotomy::registry::registry() {
@@ -95,6 +96,8 @@ fn auto_runs_the_analytic_check_then_the_zone_search() {
         assert_eq!(leased.verdict, Verdict::Safe, "{}: {leased}", s.name);
         assert_eq!(leased.winner.as_deref(), Some("analytic"), "{}", s.name);
         assert_eq!(ran(&leased), ["analytic"], "{}", s.name);
+        // No zone search ran, so the model was never lowered.
+        assert_eq!(leased.analysis, None, "{}", s.name);
 
         let stripped = auto(false).run().expect("registry scenario resolves");
         assert_eq!(stripped.verdict, Verdict::Unsafe, "{}: {stripped}", s.name);
@@ -111,6 +114,10 @@ fn auto_runs_the_analytic_check_then_the_zone_search() {
             s.name
         );
         assert_eq!(stripped.tripped, None, "{}", s.name);
+        // The zone search lowered the arm, and the report carries the
+        // analysis that search read.
+        assert!(stripped.analysis.is_some(), "{}", s.name);
+        assert_eq!(stripped.analysis, symbolic.analysis, "{}", s.name);
 
         for arm in [true, false] {
             let reach = auto(arm)

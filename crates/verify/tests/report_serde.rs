@@ -62,18 +62,17 @@ fn verdict() -> BoxedStrategy<Verdict> {
 fn compositional() -> BoxedStrategy<Option<CompositionalStats>> {
     prop_oneof![
         Just(None),
-        proptest::collection::vec(0usize..100_000, 10).prop_map(|ns| {
+        proptest::collection::vec(0usize..100_000, 9).prop_map(|ns| {
             Some(CompositionalStats {
                 contracts_total: ns[0],
                 contracts_checked: ns[1],
                 contracts_deduped: ns[2],
                 contracts_cached: ns[3],
-                symmetry_groups: ns[4],
-                refine_pairs: ns[5],
-                refine_transitions: ns[6],
-                pair_networks: ns[7],
-                abstract_states: ns[8],
-                abstract_transitions: ns[9],
+                refine_pairs: ns[4],
+                refine_transitions: ns[5],
+                pair_networks: ns[6],
+                abstract_states: ns[7],
+                abstract_transitions: ns[8],
             })
         }),
     ]
@@ -254,6 +253,50 @@ fn every_inconclusive_reason_round_trips() {
         };
         assert_eq!(round_trip(&report), report, "reason {reason:?}");
     }
+}
+
+/// Reports cached by older builds carry a `symmetry_groups` counter in
+/// their compositional stats. The counter is gone, and such reports
+/// still parse: fields are looked up by name, and extra ones are
+/// ignored.
+#[test]
+fn cached_report_with_a_removed_counter_still_parses() {
+    let stats = CompositionalStats {
+        contracts_total: 4,
+        contracts_checked: 1,
+        contracts_deduped: 3,
+        pair_networks: 3,
+        abstract_states: 1_234,
+        ..CompositionalStats::default()
+    };
+    let report = VerificationReport {
+        scenario: Some("chain-4".into()),
+        leased: true,
+        verdict: Verdict::Safe,
+        witness: None,
+        winner: Some("compositional".into()),
+        tripped: None,
+        backends: vec![BackendStats {
+            backend: "compositional".into(),
+            verdict: Verdict::Safe,
+            compositional: Some(stats.clone()),
+            ..BackendStats::default()
+        }],
+        analysis: None,
+        compositional: Some(stats),
+        wall_ms: 21.5,
+    };
+    let json = serde_json::to_string(&report.to_value()).expect("report serializes");
+    let old = json.replace(
+        "\"contracts_cached\":",
+        "\"symmetry_groups\":0,\"contracts_cached\":",
+    );
+    assert_eq!(old.matches("symmetry_groups").count(), 2, "{old}");
+    let value = serde_json::from_str_value(&old).expect("old report JSON parses");
+    assert_eq!(
+        VerificationReport::from_value(&value).expect("old report deserializes"),
+        report
+    );
 }
 
 /// Pinned witness-text shapes: the strings most likely to break a JSON

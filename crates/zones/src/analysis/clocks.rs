@@ -14,8 +14,7 @@
 //!   that are never reset are all equal to global time and collapse to
 //!   one.
 //!
-//! The result is a clock map for [`TaNetwork::apply_clock_map`] plus a
-//! `Dbm`-shaped index vector for [`crate::dbm::Dbm::remap`].
+//! The result is a clock map for [`TaNetwork::apply_clock_map`].
 
 use super::reachable::NetReachability;
 use crate::ta::TaNetwork;
@@ -115,15 +114,5 @@ impl ClockReduction {
     /// explores. A no-op clone when [`ClockReduction::is_identity`].
     pub fn apply(&self, net: &TaNetwork) -> TaNetwork {
         net.apply_clock_map(&self.map)
-    }
-
-    /// The `from` vector for [`crate::dbm::Dbm::remap`]: maps a
-    /// reduced-space DBM index to the original-space index it reads
-    /// (`[0, kept...]`). Remapping a full-space zone through this
-    /// projects it into the reduced clock space.
-    pub fn dbm_from(&self) -> Vec<usize> {
-        std::iter::once(0)
-            .chain(self.kept.iter().copied())
-            .collect()
     }
 }

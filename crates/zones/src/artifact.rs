@@ -185,11 +185,6 @@ pub struct PassedArtifact {
     /// `true` when the capture run had the static clock reduction on
     /// (informational — the digests below are what gate reuse).
     pub reduce_clocks: bool,
-    /// `true` when the symmetry quotient was active: entries are then
-    /// orbit *representatives*. Still sound to warm from (admission is
-    /// gated on the monitor's permutation invariance), and
-    /// informational for diagnostics.
-    pub symmetry: bool,
     /// Structural digest of the lowered network, constants excluded
     /// ([`net_structure_digest`]).
     pub net_digest: u64,
@@ -471,9 +466,9 @@ impl PassedArtifact {
         };
         w.u32(self.nclocks as u32);
         w.u8(self.extrapolation.tag());
-        // Bit 2 is reserved: written as 0 and ignored on read, so
-        // artifacts that set it still parse.
-        w.u8(u8::from(self.reduce_clocks) | (u8::from(self.symmetry) << 1));
+        // Bits 1 and 2 are retired: written as 0 and ignored on read,
+        // so artifacts from builds that set them still parse.
+        w.u8(u8::from(self.reduce_clocks));
         w.u64(self.net_digest);
         w.u64(self.masks_digest);
         w.u32(self.atom_ticks.len() as u32);
@@ -603,7 +598,6 @@ impl PassedArtifact {
             nclocks,
             extrapolation,
             reduce_clocks: flags & 1 != 0,
-            symmetry: flags & 2 != 0,
             net_digest,
             atom_ticks: ticks,
             masks_digest,
@@ -681,7 +675,6 @@ mod tests {
                 Extrapolation::ExtraLu
             },
             reduce_clocks: splitmix64(&mut rng).is_multiple_of(2),
-            symmetry: splitmix64(&mut rng).is_multiple_of(2),
             net_digest: splitmix64(&mut rng),
             atom_ticks: (0..(splitmix64(&mut rng) % 12))
                 .map(|_| splitmix64(&mut rng) as i64 % 1_000_000)
@@ -758,6 +751,30 @@ mod tests {
         assert_eq!(
             PassedArtifact::from_bytes(&future),
             Err(ArtifactError::StaleVersion(ARTIFACT_VERSION + 1))
+        );
+    }
+
+    /// Flag bits 1 and 2 are retired: written as 0 and ignored on read,
+    /// so artifacts from builds that set them still load. Any higher
+    /// bit is still malformed.
+    #[test]
+    fn retired_flag_bits_are_ignored_on_read() {
+        // Payload layout: nclocks (u32), extrapolation tag (u8), flags.
+        const FLAGS: usize = 16 + 4 + 1;
+        let art = random_artifact(11);
+        let bytes = art.to_bytes();
+        assert_eq!(bytes[FLAGS], u8::from(art.reduce_clocks));
+        let with_flags = |set: u8| {
+            let mut b = bytes.clone();
+            b[FLAGS] |= set;
+            let checksum = fnv1a64(&b[16..]);
+            b[8..16].copy_from_slice(&checksum.to_le_bytes());
+            b
+        };
+        assert_eq!(PassedArtifact::from_bytes(&with_flags(0b110)), Ok(art));
+        assert_eq!(
+            PassedArtifact::from_bytes(&with_flags(0b1000)),
+            Err(ArtifactError::Malformed("flag bits"))
         );
     }
 

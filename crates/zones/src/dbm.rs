@@ -472,35 +472,6 @@ impl Dbm {
         }
     }
 
-    /// Projects/permutes the zone through a clock index map: entry
-    /// `(i, j)` of the result is entry `(from[i], from[j])` of `self`,
-    /// where `from[r]` names the old index of new index `r` (`from[0]`
-    /// must be `0` — the reference clock stays put).
-    ///
-    /// With `from` a permutation of `0..dim` this renames clocks; with a
-    /// strict subset it projects dropped clocks away (existentially
-    /// quantifying them, which on a **canonical** matrix is exactly
-    /// "take the sub-matrix"). The result of remapping a canonical
-    /// matrix is canonical: any tightening path through a dropped index
-    /// was already folded into the kept entries by closure. For a
-    /// permutation `p`, `z.remap(p).remap(p⁻¹) == z` — the identity the
-    /// analysis proptests pin down.
-    pub fn remap(&self, from: &[usize]) -> Dbm {
-        assert!(!from.is_empty() && from[0] == 0, "reference clock moves");
-        assert!(
-            from.iter().all(|&o| o < self.dim),
-            "clock map names an index beyond the matrix dimension"
-        );
-        let dim = from.len();
-        let mut m = Vec::with_capacity(dim * dim);
-        for &i in from {
-            for &j in from {
-                m.push(self.get(i, j));
-            }
-        }
-        Dbm { dim, m }
-    }
-
     /// Resets clock `x` (1-based) to the constant `v` ticks. Preserves
     /// canonical form.
     pub fn reset(&mut self, x: usize, v: i64) {

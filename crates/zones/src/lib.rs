@@ -78,7 +78,6 @@ pub mod intern;
 pub mod lower;
 pub mod monitor;
 pub mod reach;
-pub mod symmetry;
 pub mod ta;
 
 pub use analysis::{
@@ -99,7 +98,6 @@ pub use reach::{
     check, check_monitored, CancelToken, Extrapolation, Limits, Progress, ProgressFn, SearchStats,
     SymbolicCounterExample, SymbolicVerdict, TrippedLimit,
 };
-pub use symmetry::{demo_fleet, detect as detect_symmetry, SymGroup, Symmetry};
 pub use ta::LuBounds;
 
 use pte_core::pattern::{build_pattern_system, LeaseConfig};

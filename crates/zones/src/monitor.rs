@@ -155,19 +155,6 @@ pub trait Monitor: Sync {
         zone: &Dbm,
     ) -> Result<(), MonitorViolation>;
 
-    /// `true` when every hook of this monitor is invariant under
-    /// permuting the given automata (their locations in `locs`, their
-    /// owned clocks in the zone): the monitor neither observes any of
-    /// them individually nor folds member-specific constants. Required
-    /// before the engine's symmetry quotient may canonicalize states —
-    /// a monitor that distinguishes members would see a *different*
-    /// trace after canonicalization. Defaults to `false` (quotient
-    /// off), the conservative answer for any monitor that does not
-    /// opt in.
-    fn permutation_invariant(&self, _members: &[usize]) -> bool {
-        false
-    }
-
     /// This monitor's contribution to passed-list artifact validity
     /// ([`crate::artifact::PassedArtifact`]): a structural digest plus
     /// the monitor's constants split by weakening direction, so a
@@ -596,18 +583,6 @@ impl Monitor for PteMonitor<'_> {
         Ok(())
     }
 
-    /// The PTE observer watches each spec entity individually (risky
-    /// dwell, embedding phases, per-pair clocks), so permuting tracked
-    /// entities would permute the property itself. Only automata that
-    /// are **not** spec entities are invisible to every hook.
-    fn permutation_invariant(&self, members: &[usize]) -> bool {
-        members.iter().all(|&ai| {
-            self.aut_entity
-                .get(ai)
-                .is_none_or(|entity| entity.is_none())
-        })
-    }
-
     /// Structure: which entities (and their automaton/clock layout) the
     /// observer watches. Constants by weakening direction: a *larger*
     /// Rule-1 bound weakens (`r > bound` harder to satisfy), a
@@ -733,16 +708,6 @@ impl Monitor for LocationReachMonitor {
             }
         }
         Ok(())
-    }
-
-    /// Reachability only inspects the locations of target automata:
-    /// permuting any set of automata that contains no target is
-    /// invisible to both hooks (this monitor has no clocks and no
-    /// state).
-    fn permutation_invariant(&self, members: &[usize]) -> bool {
-        members
-            .iter()
-            .all(|&ai| self.targets.iter().all(|(ta, _, _)| *ta != ai))
     }
 
     /// Reachability has no tunable constants: the profile is the target

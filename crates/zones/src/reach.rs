@@ -129,7 +129,6 @@ use crate::intern::Interner;
 use crate::monitor::{
     Monitor, MonitorState, MonitorViolation, ObserverSpec, PteMonitor, TransitionCtx,
 };
-use crate::symmetry::Symmetry;
 use crate::ta::{LuBounds, Sync, TaNetwork};
 use parking_lot::{Mutex, RwLock};
 use pte_hybrid::Root;
@@ -241,13 +240,6 @@ pub struct SearchStats {
     /// Equal to [`SearchStats::dbm_clocks`] when reduction is off or
     /// found nothing to drop.
     pub dbm_clocks_unreduced: usize,
-    /// Successor states the symmetry quotient folded onto a *different*
-    /// orbit representative before interning ([`Limits::symmetry`]).
-    /// `0` when the quotient is inactive (asymmetric network,
-    /// non-invariant monitor, or the knob off); when it is active,
-    /// [`SearchStats::states`] counts orbit representatives, one per
-    /// explored orbit.
-    pub orbits: usize,
     /// Passed-list entries admitted from a prior run's artifact
     /// ([`Limits::warm_start`]). Non-zero only when the warm-start
     /// gates all passed and the search was answered by proof transfer;
@@ -385,19 +377,12 @@ pub struct Limits {
     /// found in the reduced space is re-derived on the unreduced
     /// network, so witnesses never mention a remapped clock.
     pub reduce_clocks: bool,
-    /// Quotient the passed list by device-permutation symmetry
-    /// ([`crate::symmetry`]): canonicalize every discrete key (and the
-    /// matching clock permutation of the zone) before interning, so
-    /// one representative per orbit is stored. On by default and
-    /// **self-gating**: it only engages when the network is
-    /// structurally symmetric, the monitor reports itself invariant
-    /// under each group ([`Monitor::permutation_invariant`]), the
-    /// activity masks are orbit-invariant, and the extrapolation
-    /// bounds are uniform across each group — asymmetric networks
-    /// (every `LeaseConfig::chain(n)`) auto-disable it. Verdicts are
-    /// unchanged; a violation found in the quotient is re-derived by a
-    /// deterministic unquotiented search so the counter-example text
-    /// is bit-identical to a `symmetry: false` run.
+    /// Ignored; nothing reads it. It once switched a device-permutation
+    /// symmetry quotient, which could never engage on a PTE check: the
+    /// PTE monitor watches every device, so no two devices are
+    /// interchangeable. The field stays only because perfbench's rerun
+    /// limits (`perfbench/src/run.rs`) still set it; the next benchmark
+    /// change drops that line and then deletes this field.
     pub symmetry: bool,
     /// Optional prior-run artifact to warm-start from. The engine
     /// re-validates it against the new model (see
@@ -443,7 +428,6 @@ impl fmt::Debug for Limits {
             .field("cancel", &self.cancel)
             .field("progress", &self.progress.as_ref().map(|_| "<callback>"))
             .field("reduce_clocks", &self.reduce_clocks)
-            .field("symmetry", &self.symmetry)
             .field(
                 "warm_start",
                 &self
@@ -623,9 +607,6 @@ struct LocalStats {
     transitions: usize,
     /// Successors dropped by the pre-extrapolation subsumption probe.
     subsumed: usize,
-    /// Successors the symmetry quotient folded onto a different orbit
-    /// representative.
-    folded: usize,
 }
 
 /// Maximum zero-time cascade depth (urgent chains + deliveries) before
@@ -673,11 +654,6 @@ struct Engine<'s> {
     /// (already in `net`'s indices when `net` is a reduced network).
     /// `None` when reduction is off or the masks are trivial.
     masks: Option<&'s ActivityMasks>,
-    /// Device-permutation symmetry groups to quotient by, already
-    /// filtered down to those the monitor, the masks, and the
-    /// extrapolation bounds are invariant under. `None` disables
-    /// canonicalization entirely.
-    symmetry: Option<Symmetry>,
     shards: Vec<Mutex<Shard>>,
 }
 
@@ -730,23 +706,19 @@ pub(crate) fn check_analyzed(
     let masks = (analysis.activity.clocks != 0 && !analysis.activity.is_trivial())
         .then_some(&analysis.activity);
 
-    // `check` re-derives any violation itself (below), so the inner
-    // call skips its own deterministic re-search — one rerun, not two.
-    match check_monitored_with(rnet, &monitor, limits, masks, false)? {
+    match check_monitored_with(rnet, &monitor, limits, masks)? {
         // Rerun-on-violation: the reduced search is the fast path for
         // proofs; a falsification is re-derived on the unreduced
-        // network — with the quotient off — so the counter-example
-        // text (clock names, zone constraints, step list) is
-        // byte-identical to a run with every acceleration off: the
-        // engine's determinism guarantee extended across both knobs.
-        // Freeing dead clocks and folding orbits never remove a
+        // network, so the counter-example text (clock names, zone
+        // constraints, step list) is byte-identical to a run with the
+        // analysis off: the engine's determinism guarantee extended
+        // across the knob. Freeing dead clocks never removes a
         // reachable violation, so the rerun finds a violation too; if
         // it instead trips a budget first, that inconclusive verdict
         // is returned as-is — conservative, never wrong.
         SymbolicVerdict::Unsafe(_) => {
             let mut legacy = limits.clone();
             legacy.reduce_clocks = false;
-            legacy.symmetry = false;
             // The rerun exists only to render the counter-example on
             // the unreduced network: it must neither consume the warm
             // artifact (captured on the *reduced* network) nor emit one.
@@ -780,27 +752,18 @@ pub fn check_monitored(
     monitor: &dyn Monitor,
     limits: &Limits,
 ) -> Result<SymbolicVerdict, String> {
-    check_monitored_with(net, monitor, limits, None, true)
+    check_monitored_with(net, monitor, limits, None)
 }
 
 /// [`check_monitored`] plus optional per-location dead-clock masks over
 /// `net`'s clock space (what [`check`] computes from the static
 /// analysis — callers handing masks for a *different* network would
 /// free live clocks and lose soundness, hence not public).
-///
-/// `det_rerun` controls the determinism-by-post-minimization contract:
-/// when a run with the symmetry quotient active finds a violation, the
-/// check is re-run with the quotient off so the reported
-/// counter-example is the deterministic lexicographically-least one —
-/// bit-identical at every worker count and with `symmetry: false`.
-/// [`check`] passes `false` because it re-derives violations itself
-/// (on the unreduced network).
 fn check_monitored_with(
     net: &TaNetwork,
     monitor: &dyn Monitor,
     limits: &Limits,
     masks: Option<&ActivityMasks>,
-    det_rerun: bool,
 ) -> Result<SymbolicVerdict, String> {
     let base = net.clock_count();
     let nclocks = base + monitor.clock_names().len();
@@ -909,23 +872,6 @@ fn check_monitored_with(
         emit_ids.push(em);
     }
 
-    // Symmetry quotient, self-gating: keep only groups the monitor,
-    // the activity masks, and the (monitor-extended) extrapolation
-    // bounds are invariant under. Asymmetric networks — every lease
-    // chain — yield no groups and the quotient costs nothing.
-    let symmetry = if limits.symmetry {
-        let mut sym = net.symmetry();
-        sym.groups.retain(|g| {
-            monitor.permutation_invariant(&g.members)
-                && masks.is_none_or(|m| g.masks_invariant(m))
-                && g.bounds_uniform(&kmax, &lu.lower, &lu.upper)
-        });
-        (!sym.is_trivial()).then_some(sym)
-    } else {
-        None
-    };
-    let quotiented = symmetry.is_some();
-
     let engine = Engine {
         net,
         monitor,
@@ -939,7 +885,6 @@ fn check_monitored_with(
         recv,
         emit_ids,
         masks,
-        symmetry,
         shards: (0..SHARD_COUNT)
             .map(|_| Mutex::new(Shard::default()))
             .collect(),
@@ -949,20 +894,6 @@ fn check_monitored_with(
         if let Some(profile) = monitor.warm_profile() {
             *sink.lock() = Some(capture_artifact(&engine, limits, masks, profile));
         }
-    }
-    drop(engine);
-    if det_rerun && quotiented && verdict.is_unsafe() {
-        // Determinism by post-hoc minimization: re-derive the
-        // counter-example with the quotient off. The quotiented search
-        // explores the same reachable set up to symmetry, so the
-        // deterministic rerun finds a violation too; if it trips a
-        // budget first, that inconclusive verdict is returned —
-        // conservative, never wrong.
-        let mut det = limits.clone();
-        det.symmetry = false;
-        det.warm_start = None;
-        det.capture = None;
-        return check_monitored_with(net, monitor, &det, masks, false);
     }
     Ok(verdict)
 }
@@ -1058,7 +989,6 @@ fn capture_artifact(
         nclocks: engine.nclocks,
         extrapolation: limits.extrapolation,
         reduce_clocks: limits.reduce_clocks,
-        symmetry: engine.symmetry.is_some(),
         net_digest: net_structure_digest(engine.net),
         atom_ticks: atom_ticks(engine.net),
         masks_digest: masks_digest(masks),
@@ -1106,10 +1036,9 @@ struct RoundSync {
     violations: Mutex<Vec<(Option<NodeId>, Violation)>>,
     /// Per-shard admissions produced by helpers this round.
     admitted: Mutex<Vec<(usize, Vec<FrontierEntry>)>>,
-    /// Helper-side transition / subsumption / orbit-fold tallies.
+    /// Helper-side transition / subsumption tallies.
     transitions: AtomicUsize,
     subsumed: AtomicUsize,
-    folded: AtomicUsize,
     /// Set by a helper whose phase work panicked; the coordinator
     /// aborts the check instead of trusting a partial round.
     helper_panicked: std::sync::atomic::AtomicBool,
@@ -1131,7 +1060,6 @@ impl RoundSync {
             admitted: Mutex::new(Vec::new()),
             transitions: AtomicUsize::new(0),
             subsumed: AtomicUsize::new(0),
-            folded: AtomicUsize::new(0),
             helper_panicked: std::sync::atomic::AtomicBool::new(false),
         }
     }
@@ -1217,7 +1145,6 @@ impl Engine<'_> {
         }
         stats.transitions += local.transitions;
         stats.subsumed += local.subsumed;
-        stats.orbits += local.folded;
         if !violations.is_empty() {
             return self.least_counter_example(violations);
         }
@@ -1314,7 +1241,6 @@ impl Engine<'_> {
                     sync.transitions
                         .fetch_add(local.transitions, Ordering::Relaxed);
                     sync.subsumed.fetch_add(local.subsumed, Ordering::Relaxed);
-                    sync.folded.fetch_add(local.folded, Ordering::Relaxed);
                     if !violations.is_empty() {
                         sync.violations.lock().extend(violations);
                     }
@@ -1398,7 +1324,6 @@ impl Engine<'_> {
         self.wait_helpers(sync, helpers);
         stats.transitions += local.transitions + sync.transitions.swap(0, Ordering::Relaxed);
         stats.subsumed += local.subsumed + sync.subsumed.swap(0, Ordering::Relaxed);
-        stats.orbits += local.folded + sync.folded.swap(0, Ordering::Relaxed);
         violations.append(&mut sync.violations.lock());
         violations
     }
@@ -1897,20 +1822,6 @@ impl Engine<'_> {
             while dead != 0 {
                 w.zone.free(dead.trailing_zeros() as usize + 1);
                 dead &= dead - 1;
-            }
-        }
-
-        // Symmetry quotient: fold the state onto its orbit's canonical
-        // representative (sort interchangeable members, permute their
-        // owned clocks in the zone) before the key is built, so the
-        // probe, interning, and admission all see one representative
-        // per orbit. A pure function of the state — deterministic
-        // regardless of worker count.
-        if let Some(sym) = &self.symmetry {
-            if let Some(canon) = sym.canonicalize(&mut w.locs, &w.zone) {
-                local.folded += 1;
-                let old = std::mem::replace(&mut w.zone, canon);
-                pool.recycle(old);
             }
         }
 

@@ -209,14 +209,6 @@ impl TaNetwork {
         self.automata.iter().position(|a| a.name == name)
     }
 
-    /// The device-permutation symmetry of this network — computed
-    /// structurally on demand ([`crate::symmetry::detect`]), so
-    /// construction sites and the clock-map rewrite stay untouched.
-    /// Trivial for networks with no interchangeable automaton pair.
-    pub fn symmetry(&self) -> crate::symmetry::Symmetry {
-        crate::symmetry::detect(self)
-    }
-
     /// The maximal constant (ticks) each clock is compared against
     /// anywhere in the network, indexed like a DBM bound vector
     /// (`result[0] = 0` for the reference). Extra engine-side bounds can

@@ -87,6 +87,59 @@ fn counter_example_is_reproducible_across_worker_counts() {
     }
 }
 
+/// Round-barrier stress under a watchdog: 50 leased proofs and 50
+/// lease-stripped falsifications of the case study at each of 2, 4 and
+/// 8 workers (300 searches), every fingerprint equal to the 1-worker
+/// reference. The searches run on a spawned thread and the test waits
+/// at most 120 s for them, so a pool deadlock fails the test instead of
+/// hanging the suite.
+#[test]
+fn round_barrier_stress_under_a_watchdog() {
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
+    const REPEATS: usize = 50;
+    // Nothing is ever sent: the sender drops when the search thread
+    // ends, whether it returns or panics, and that wakes the watchdog.
+    let (done, ended) = mpsc::channel::<()>();
+    let searcher = std::thread::spawn(move || {
+        let _done = done;
+        let cfg = LeaseConfig::case_study();
+        let run = |leased: bool, workers: usize| {
+            let verdict = check_lease_pattern_with(
+                &cfg,
+                leased,
+                &limits(workers, Extrapolation::ExtraLu, 60_000),
+            )
+            .expect("case study lowers");
+            fingerprint(&verdict)
+        };
+        let mut searches = 0usize;
+        for leased in [true, false] {
+            let reference = run(leased, 1);
+            for workers in [2usize, 4, 8] {
+                for i in 0..REPEATS {
+                    assert_eq!(
+                        run(leased, workers),
+                        reference,
+                        "search {i} at {workers} workers (leased={leased}) drifted"
+                    );
+                    searches += 1;
+                }
+            }
+        }
+        searches
+    });
+    // A hung pool cannot be joined, so only a timeout leaves the
+    // thread behind.
+    if let Err(RecvTimeoutError::Timeout) = ended.recv_timeout(Duration::from_secs(120)) {
+        panic!("300 round-barrier searches did not finish within 120 s");
+    }
+    let searches = searcher
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    assert_eq!(searches, 300);
+}
+
 #[test]
 fn wall_clock_budget_trips_as_out_of_budget() {
     let cfg = LeaseConfig::case_study();
