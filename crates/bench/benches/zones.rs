@@ -4,7 +4,8 @@
 //! extrapolation comparison, the passed-list compression factor, and
 //! the compositional assume-guarantee rows for the chain-12/16/20
 //! fleets the monolithic engine cannot close within the registry
-//! budget.
+//! budget, plus the chain-12 safeguard edit that transfers every pair
+//! proof.
 //!
 //! Besides the human-readable `bench:` lines, the run emits a
 //! machine-readable `BENCH_zones.json` (path overridable via the
@@ -294,23 +295,38 @@ fn reduction_row() -> pte_bench::ReductionRow {
 /// rows through the monolithic engine would fail the bench instead of
 /// recording a meaningless timing. One run per row: chain-20 takes
 /// several seconds end to end.
-fn compositional_rows() -> Vec<pte_bench::CompositionalRow> {
+///
+/// Each row is a cold proof: the process-global refinement verdict and
+/// pair proof store is emptied before every row, whatever ran earlier
+/// in the process. After the chain-12 row, its safeguard-relaxed edit
+/// (every `T^min_risky` / `T^min_safe` halved) is timed against the
+/// stored pair proofs: every pair must transfer, at least 4x faster
+/// than the row's cold proof.
+fn compositional_rows() -> (
+    Vec<pte_bench::CompositionalRow>,
+    pte_bench::CompositionalWarmRow,
+) {
     use pte_contracts::{
-        check_compositional, CompositionalLimits, CompositionalVerdict, EnvProfile, RefineLimits,
+        check_compositional, reset_cache, CompositionalLimits, CompositionalVerdict, EnvProfile,
+        RefineLimits,
+    };
+    use pte_core::rules::PairSpec;
+    use pte_hybrid::Time;
+    let limits = CompositionalLimits {
+        search: Limits {
+            max_states: 40_000,
+            ..Limits::default()
+        },
+        refine: RefineLimits {
+            workers: 2,
+            ..RefineLimits::default()
+        },
     };
     let mut rows = Vec::new();
+    let mut warm = None;
     for n in [12usize, 16, 20] {
+        reset_cache();
         let cfg = LeaseConfig::chain(n);
-        let limits = CompositionalLimits {
-            search: Limits {
-                max_states: 40_000,
-                ..Limits::default()
-            },
-            refine: RefineLimits {
-                workers: 2,
-                ..RefineLimits::default()
-            },
-        };
         let t = Instant::now();
         let out = check_compositional(&cfg, true, EnvProfile::default(), &limits).unwrap();
         let secs = t.elapsed().as_secs_f64();
@@ -326,6 +342,47 @@ fn compositional_rows() -> Vec<pte_bench::CompositionalRow> {
             out.stats.pair_networks,
             secs * 1e3,
         );
+        if n == 12 {
+            let half = |t: Time| Time::seconds(t.as_secs_f64() / 2.0);
+            let relaxed = LeaseConfig {
+                safeguards: cfg
+                    .safeguards
+                    .iter()
+                    .map(|p| PairSpec::new(half(p.t_min_risky), half(p.t_min_safe)))
+                    .collect(),
+                ..cfg.clone()
+            };
+            let t = Instant::now();
+            let edit = check_compositional(&relaxed, true, EnvProfile::default(), &limits).unwrap();
+            let warm_secs = t.elapsed().as_secs_f64();
+            assert!(matches!(edit.verdict, CompositionalVerdict::Safe));
+            assert_eq!(
+                edit.pairs_transferred, out.stats.pair_networks,
+                "every pair proof of the relaxed chain-{n} edit must transfer"
+            );
+            assert!(
+                warm_secs * 4.0 <= secs,
+                "the relaxed chain-{n} edit ({:.1} ms) must be at least 4x faster than \
+                 its cold proof ({:.1} ms)",
+                warm_secs * 1e3,
+                secs * 1e3
+            );
+            println!(
+                "bench: compositional_warm/chain-{n} (safeguards halved)   \
+                 {} of {} pair proofs transferred, {:.1} ms ({:.0}x)",
+                edit.pairs_transferred,
+                out.stats.pair_networks,
+                warm_secs * 1e3,
+                secs / warm_secs,
+            );
+            warm = Some(pte_bench::CompositionalWarmRow {
+                scenario: format!("chain-{n}"),
+                cold_secs: secs,
+                warm_secs,
+                pairs_transferred: edit.pairs_transferred,
+                warm_seeded: edit.warm_seeded,
+            });
+        }
         rows.push(pte_bench::CompositionalRow {
             scenario: format!("chain-{n}"),
             n,
@@ -335,7 +392,7 @@ fn compositional_rows() -> Vec<pte_bench::CompositionalRow> {
             secs,
         });
     }
-    rows
+    (rows, warm.expect("the chain-12 row times its relaxed edit"))
 }
 
 /// Emits `BENCH_zones.json`: best-of-5 wall time of the leased
@@ -372,7 +429,7 @@ fn emit_bench_json(_c: &mut Criterion) {
 
     let scaling = chain_scaling_rows();
     let reduction = [reduction_row()];
-    let compositional = compositional_rows();
+    let (compositional, compositional_warm) = compositional_rows();
     let path = std::env::var("BENCH_ZONES_JSON").unwrap_or_else(|_| "BENCH_zones.json".to_string());
     pte_bench::write_zones_bench_json(
         &path,
@@ -383,6 +440,7 @@ fn emit_bench_json(_c: &mut Criterion) {
         &scaling,
         &reduction,
         &compositional,
+        Some(&compositional_warm),
     );
 }
 

@@ -592,5 +592,15 @@ fn write_bench_json(path: &str, base_budget: usize, workers: usize, rows: &[Row]
             secs: None,
         })
         .collect();
-    pte_bench::write_zones_bench_json(path, best_secs, None, &stats, &limits, &scaling, &[], &[]);
+    pte_bench::write_zones_bench_json(
+        path,
+        best_secs,
+        None,
+        &stats,
+        &limits,
+        &scaling,
+        &[],
+        &[],
+        None,
+    );
 }

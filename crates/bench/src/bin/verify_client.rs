@@ -129,6 +129,13 @@ fn run() -> i32 {
                     s.refine_cache_misses,
                     s.contracts_deduped
                 );
+                println!(
+                    "pair proofs: {} stored ({} B), {} transferred / {} cold",
+                    s.pair_cache_entries,
+                    s.pair_cache_bytes,
+                    s.pair_cache_hits,
+                    s.pair_cache_misses
+                );
                 println!("uptime: {:.1} s", s.uptime_ms / 1e3);
                 0
             }
@@ -253,11 +260,14 @@ fn run() -> i32 {
         outcome.key,
         if outcome.cached { " (cached)" } else { "" }
     );
+    // A symbolic warm start, or the pair proofs a compositional run
+    // transferred.
     if let Some(seeded) = outcome
         .report
-        .backend("symbolic")
+        .backends
+        .iter()
         .map(|b| b.warm_seeded)
-        .filter(|&s| s > 0)
+        .find(|&s| s > 0)
     {
         println!("warm-start: {seeded} states transferred");
     }

@@ -95,14 +95,31 @@ pub struct CompositionalRow {
     pub secs: f64,
 }
 
+/// A compositional edit re-verified from the stored pair proofs of its
+/// parent's cold proof, attached to `BENCH_zones.json` as the
+/// `compositional_warm` record.
+#[derive(Clone, Debug)]
+pub struct CompositionalWarmRow {
+    /// The parent proof's scenario (e.g. `chain-12`).
+    pub scenario: String,
+    /// Wall time of the parent's cold proof, seconds.
+    pub cold_secs: f64,
+    /// Wall time of the edit, seconds.
+    pub warm_secs: f64,
+    /// Pair searches the edit answered by transfer.
+    pub pairs_transferred: usize,
+    /// Passed-list entries those transfers admitted.
+    pub warm_seeded: usize,
+}
+
 /// Writes the `BENCH_zones.json` perf record shared by
 /// `benches/zones.rs` and `campaign --bench-json`: wall time of the
 /// leased case-study proof, settled states, states/sec, the
 /// passed-list byte accounting, per-N chain scaling rows,
-/// reduced-vs-unreduced ablation rows, and compositional-scale rows.
-/// `falsify_secs` is the optional baseline-falsification timing (the
-/// bench measures it, the campaign does not). The emitted JSON is
-/// round-trip-validated before writing.
+/// reduced-vs-unreduced ablation rows, compositional-scale rows and the
+/// optional `compositional_warm` record. `falsify_secs` is the optional
+/// baseline-falsification timing (the bench measures it, the campaign
+/// does not). The emitted JSON is round-trip-validated before writing.
 #[allow(clippy::too_many_arguments)]
 pub fn write_zones_bench_json(
     path: &str,
@@ -113,6 +130,7 @@ pub fn write_zones_bench_json(
     scaling: &[ScalingRow],
     reduction: &[ReductionRow],
     compositional: &[CompositionalRow],
+    compositional_warm: Option<&CompositionalWarmRow>,
 ) {
     let num_u = |u: usize| Value::Num(Number::U(u as u64));
     let num_f = |f: f64| Value::Num(Number::F(f));
@@ -208,6 +226,23 @@ pub fn write_zones_bench_json(
             })
             .collect();
         fields.push(("compositional".into(), Value::Arr(rows)));
+    }
+    if let Some(w) = compositional_warm {
+        fields.push((
+            "compositional_warm".into(),
+            Value::Obj(vec![
+                ("scenario".into(), Value::Str(w.scenario.clone())),
+                ("edit".into(), Value::Str("safeguards halved".into())),
+                ("cold_ms".into(), num_f(w.cold_secs * 1e3)),
+                ("warm_ms".into(), num_f(w.warm_secs * 1e3)),
+                (
+                    "warm_speedup".into(),
+                    num_f(w.cold_secs / w.warm_secs.max(1e-9)),
+                ),
+                ("pairs_transferred".into(), num_u(w.pairs_transferred)),
+                ("warm_seeded_states".into(), num_u(w.warm_seeded)),
+            ]),
+        ));
     }
     let json = serde_json::to_string(&Value::Obj(fields)).expect("bench report serializes");
     serde_json::from_str_value(&json).expect("bench JSON must parse back");

@@ -17,6 +17,32 @@
 //!    network runs through the ordinary monitored zone engine
 //!    ([`pte_zones::check`]) against the pair-restricted observer.
 //!
+//! ## Pair proof transfer
+//!
+//! A pair search that ends `Safe` leaves its passed list — the proof —
+//! in a process-global store keyed by the pair network's identity: its
+//! structural digest and timing constants
+//! ([`pte_zones::artifact::net_structure_digest`],
+//! [`pte_zones::artifact::atom_ticks`]) plus the watched pair. The next
+//! search of the same pair network warm-starts from it
+//! ([`Limits::warm_start`]), under the engine's own gates: identical
+//! network, a weaker-or-equal pair observer
+//! ([`pte_zones::WarmProfile::admits`]), the same clocks, extrapolation
+//! and activity masks, and every stored entry re-checked against the new
+//! observer. A safeguard-only edit that relaxes `T^min_risky` /
+//! `T^min_safe` changes only the observers, so every pair proof
+//! transfers; any timing edit changes the supervisor, which every pair
+//! network contains, so every pair runs cold and its new proof replaces
+//! the stored one. A failed gate only costs the cold search it falls
+//! back to, so the cold verdict, witness and counts never change.
+//!
+//! The store keeps each pair proof encoded
+//! ([`pte_zones::PassedArtifact::to_bytes`]) and holds the refinement
+//! verdicts too. It forgets its oldest entries first, beyond 4 096
+//! verdicts or 32 MiB of encoded pair proofs; chain-20's 19 pair proofs
+//! take 14.1 MB. [`cache_stats`] reports the store and [`reset_cache`]
+//! empties it.
+//!
 //! Soundness: each slot of a pair network over-approximates the concrete
 //! component it replaces (the Supervisor is itself; refinement-checked
 //! contracts reproduce every observable emission *and* the exact risky
@@ -31,14 +57,16 @@
 
 use crate::contract::{lease_client, localize, top_for, Contract};
 use crate::refine::{refine, RefineLimits, RefineOutcome};
+use crate::store::{CachedRefinement, Store};
 use pte_core::pattern::{build_pattern_system, config::LeaseConfig};
+use pte_zones::artifact::{atom_ticks, net_structure_digest, Digest};
 use pte_zones::lower::lower_network;
 use pte_zones::ta::{TaAutomaton, TaNetwork};
-use pte_zones::{check, Limits, ObserverSpec, SymbolicVerdict};
+use pte_zones::{check, new_sink, Limits, ObserverSpec, PassedArtifact, SymbolicVerdict};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Which contract stands in for the devices *outside* the monitored pair.
 /// The two pair members always get their timed `lease-client` contract —
@@ -84,7 +112,9 @@ impl EnvProfile {
 /// Budgets for one compositional run. `search` applies to **each**
 /// abstract pair network individually (the engine-native meaning of
 /// [`Limits::max_states`]); the per-stage totals are reported in
-/// [`CompositionalStats`].
+/// [`CompositionalStats`]. Its `warm_start` and `capture` are not read:
+/// pair searches warm-start from, and capture into, the pair proof
+/// store (see the module docs).
 #[derive(Clone, Default)]
 pub struct CompositionalLimits {
     /// Zone-engine limits for each abstract pair check.
@@ -141,6 +171,11 @@ pub struct CompositionalOutcome {
     pub verdict: CompositionalVerdict,
     /// Stage counters (populated for fallbacks too).
     pub stats: CompositionalStats,
+    /// Pair searches answered by transferring a stored pair proof.
+    pub pairs_transferred: usize,
+    /// Passed-list entries those transfers admitted — the settled states
+    /// the transferred pairs would otherwise have explored.
+    pub warm_seeded: usize,
 }
 
 impl CompositionalOutcome {
@@ -151,29 +186,27 @@ impl CompositionalOutcome {
                 counter_example: ce,
             },
             stats,
+            pairs_transferred: 0,
+            warm_seeded: 0,
         }
     }
 }
 
-// --- process-global refinement verdict cache -----------------------------
+// --- process-global verdict and pair proof store ---------------------------
 
-#[derive(Clone)]
-enum CachedRefinement {
-    Holds,
-    Fails { reason: String, rendered: String },
-}
-
-static REFINE_CACHE: OnceLock<Mutex<HashMap<u64, CachedRefinement>>> = OnceLock::new();
+static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 static DEDUPED: AtomicU64 = AtomicU64::new(0);
+static PAIR_HITS: AtomicU64 = AtomicU64::new(0);
+static PAIR_MISSES: AtomicU64 = AtomicU64::new(0);
 
-fn cache() -> &'static Mutex<HashMap<u64, CachedRefinement>> {
-    REFINE_CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+fn store() -> &'static Mutex<Store> {
+    STORE.get_or_init(|| Mutex::new(Store::new()))
 }
 
-/// Counters of the process-global refinement verdict cache (polled by the
-/// verification daemon into its `DaemonStats`).
+/// Counters of the process-global refinement verdict and pair proof
+/// store (polled by the verification daemon into its `DaemonStats`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ContractCacheStats {
     /// Refinement checks answered from the cache.
@@ -184,26 +217,51 @@ pub struct ContractCacheStats {
     pub entries: u64,
     /// Within-run slots skipped via structural dedup, cumulative.
     pub deduped: u64,
+    /// Pair searches answered by transferring a stored pair proof.
+    pub pair_hits: u64,
+    /// Pair searches that found no admissible stored proof and ran cold
+    /// (searches that skipped the lookup count in neither).
+    pub pair_misses: u64,
+    /// Pair proofs stored.
+    pub pair_entries: u64,
+    /// Bytes of the stored pair proofs, encoded.
+    pub pair_bytes: u64,
 }
 
-/// A snapshot of the cache counters.
+/// A snapshot of the store's counters.
 pub fn cache_stats() -> ContractCacheStats {
+    let (entries, pair_entries, pair_bytes) = store()
+        .lock()
+        .map(|s| (s.verdicts.len(), s.pairs.len(), s.pairs.bytes()))
+        .unwrap_or_default();
     ContractCacheStats {
         hits: CACHE_HITS.load(Ordering::Relaxed),
         misses: CACHE_MISSES.load(Ordering::Relaxed),
-        entries: cache().lock().map(|c| c.len() as u64).unwrap_or(0),
+        entries: entries as u64,
         deduped: DEDUPED.load(Ordering::Relaxed),
+        pair_hits: PAIR_HITS.load(Ordering::Relaxed),
+        pair_misses: PAIR_MISSES.load(Ordering::Relaxed),
+        pair_entries: pair_entries as u64,
+        pair_bytes: pair_bytes as u64,
     }
 }
 
-/// Clears the cache and its counters (test isolation).
+/// Empties the store — refinement verdicts and pair proofs — and zeroes
+/// its counters (test isolation; cold bench rows).
 pub fn reset_cache() {
-    if let Ok(mut c) = cache().lock() {
-        c.clear();
+    if let Ok(mut s) = store().lock() {
+        s.verdicts.clear();
+        s.pairs.clear();
     }
-    CACHE_HITS.store(0, Ordering::Relaxed);
-    CACHE_MISSES.store(0, Ordering::Relaxed);
-    DEDUPED.store(0, Ordering::Relaxed);
+    for counter in [
+        &CACHE_HITS,
+        &CACHE_MISSES,
+        &DEDUPED,
+        &PAIR_HITS,
+        &PAIR_MISSES,
+    ] {
+        counter.store(0, Ordering::Relaxed);
+    }
 }
 
 // --- structural digests ---------------------------------------------------
@@ -334,6 +392,24 @@ fn pair_spec(full: &ObserverSpec, k: usize) -> ObserverSpec {
     }
 }
 
+/// The store key of a pair proof: the pair network's structure and
+/// timing constants — what the engine's network gates compare — and the
+/// watched entities, so pairs whose networks coincide (every pair under
+/// [`EnvProfile::LeaseClient`]) keep separate proofs.
+fn pair_key(pair_net: &TaNetwork, spec: &ObserverSpec) -> u64 {
+    let mut d = Digest::new();
+    d.write_u64(net_structure_digest(pair_net));
+    let ticks = atom_ticks(pair_net);
+    d.write_u64(ticks.len() as u64);
+    for t in ticks {
+        d.write_i64(t);
+    }
+    for name in &spec.entities {
+        d.write_str(name);
+    }
+    d.finish()
+}
+
 // --- the driver -----------------------------------------------------------
 
 /// Runs the compositional assume-guarantee argument for a lease system.
@@ -344,6 +420,9 @@ fn pair_spec(full: &ObserverSpec, k: usize) -> ObserverSpec {
 /// monolithic engine. The baseline (lease-stripped) arm fails refinement
 /// naturally: without its lease timers a device may dwell in `Risky Core`
 /// past the contract's `t_run` envelope.
+///
+/// Builds and lowers the arm, then runs
+/// [`check_compositional_lowered`] with pair proof transfers on.
 pub fn check_compositional(
     cfg: &LeaseConfig,
     leased: bool,
@@ -352,6 +431,22 @@ pub fn check_compositional(
 ) -> Result<CompositionalOutcome, String> {
     let sys = build_pattern_system(cfg, leased).map_err(|e| format!("build: {e:?}"))?;
     let net = lower_network(&sys.automata).map_err(|e| format!("lower: {e}"))?;
+    check_compositional_lowered(cfg, &net, profile, limits, true)
+}
+
+/// [`check_compositional`] over an arm of `cfg` the caller already
+/// built and lowered (`net`), so a caller that falls back to the
+/// monolithic engine lowers the arm once. `transfer` chooses whether
+/// pair searches look up stored pair proofs; `false` runs every pair
+/// cold. Pair searches that end `Safe` cold store their proofs either
+/// way.
+pub fn check_compositional_lowered(
+    cfg: &LeaseConfig,
+    net: &TaNetwork,
+    profile: EnvProfile,
+    limits: &CompositionalLimits,
+    transfer: bool,
+) -> Result<CompositionalOutcome, String> {
     let mut stats = CompositionalStats {
         contracts_total: cfg.n,
         ..CompositionalStats::default()
@@ -376,7 +471,10 @@ pub fn check_compositional(
         }
         seen.insert(digest, ());
 
-        let cached = cache().lock().ok().and_then(|c| c.get(&digest).cloned());
+        let cached = store()
+            .lock()
+            .ok()
+            .and_then(|s| s.verdicts.get(digest).cloned());
         let outcome = match cached {
             Some(CachedRefinement::Holds) => {
                 CACHE_HITS.fetch_add(1, Ordering::Relaxed);
@@ -404,13 +502,13 @@ pub fn check_compositional(
             stats.refine_transitions += rs.transitions;
             match outcome {
                 RefineOutcome::Holds(_) => {
-                    if let Ok(mut c) = cache().lock() {
-                        c.insert(digest, CachedRefinement::Holds);
+                    if let Ok(mut s) = store().lock() {
+                        s.verdicts.insert(digest, CachedRefinement::Holds);
                     }
                 }
                 RefineOutcome::Fails(f) => {
-                    if let Ok(mut c) = cache().lock() {
-                        c.insert(
+                    if let Ok(mut s) = store().lock() {
+                        s.verdicts.insert(
                             digest,
                             CachedRefinement::Fails {
                                 reason: f.reason.clone(),
@@ -446,42 +544,74 @@ pub fn check_compositional(
         }
     }
 
-    // Stage 2: one abstract check per safeguard pair.
+    // Stage 2: one abstract check per safeguard pair, each warm-started
+    // from its stored proof when one transfers.
     let full_spec = ObserverSpec::from_spec(&cfg.pte_spec());
+    let (mut pairs_transferred, mut warm_seeded) = (0, 0);
     for k in 0..cfg.n - 1 {
-        let pair_net = build_pair_network(&net, cfg, k, profile)?;
+        let pair_net = build_pair_network(net, cfg, k, profile)?;
         let spec = pair_spec(&full_spec, k);
+        let key = pair_key(&pair_net, &spec);
+        let stored = if transfer {
+            store().lock().ok().and_then(|s| s.pairs.get(key).cloned())
+        } else {
+            None
+        };
+        let sink = new_sink();
+        let search = Limits {
+            warm_start: stored
+                .and_then(|bytes| PassedArtifact::from_bytes(&bytes).ok())
+                .map(Arc::new),
+            capture: Some(sink.clone()),
+            ..limits.search.clone()
+        };
         stats.pair_networks += 1;
-        match check(&pair_net, &spec, &limits.search).map_err(|e| format!("pair {k}: {e}"))? {
-            SymbolicVerdict::Safe(s) => {
-                stats.abstract_states += s.states;
-                stats.abstract_transitions += s.transitions;
-            }
-            SymbolicVerdict::Unsafe(_) => {
-                return Ok(CompositionalOutcome::fallback(
-                    format!(
-                        "abstract pair network {k} (entities {}, {}) reported a violation \
-                         (possibly spurious under the contract abstraction)",
-                        k + 1,
-                        k + 2
-                    ),
-                    None,
-                    stats,
-                ));
-            }
-            SymbolicVerdict::OutOfBudget { stats: s, .. } => {
-                stats.abstract_states += s.states;
-                stats.abstract_transitions += s.transitions;
-                return Ok(CompositionalOutcome::fallback(
-                    format!("abstract pair network {k} exhausted its search budget"),
-                    None,
-                    stats,
-                ));
-            }
+        let verdict = check(&pair_net, &spec, &search).map_err(|e| format!("pair {k}: {e}"))?;
+        let seeded = verdict.stats().map_or(0, |s| s.warm_seeded);
+        if let Some(s) = verdict.stats() {
+            stats.abstract_states += s.states;
+            stats.abstract_transitions += s.transitions;
         }
+        if seeded > 0 {
+            pairs_transferred += 1;
+            warm_seeded += seeded;
+            PAIR_HITS.fetch_add(1, Ordering::Relaxed);
+        } else if transfer {
+            PAIR_MISSES.fetch_add(1, Ordering::Relaxed);
+        }
+        let reason = match verdict {
+            SymbolicVerdict::Safe(_) => {
+                // A transfer passes the stored proof through the sink;
+                // only a cold proof is new.
+                let captured = sink.lock().take();
+                if let (0, Some(art)) = (seeded, captured) {
+                    let bytes: Arc<[u8]> = art.to_bytes().into();
+                    if let Ok(mut store) = store().lock() {
+                        store.pairs.insert(key, bytes);
+                    }
+                }
+                continue;
+            }
+            SymbolicVerdict::Unsafe(_) => format!(
+                "abstract pair network {k} (entities {}, {}) reported a violation \
+                 (possibly spurious under the contract abstraction)",
+                k + 1,
+                k + 2
+            ),
+            SymbolicVerdict::OutOfBudget { .. } => {
+                format!("abstract pair network {k} exhausted its search budget")
+            }
+        };
+        return Ok(CompositionalOutcome {
+            pairs_transferred,
+            warm_seeded,
+            ..CompositionalOutcome::fallback(reason, None, stats)
+        });
     }
     Ok(CompositionalOutcome {
         verdict: CompositionalVerdict::Safe,
         stats,
+        pairs_transferred,
+        warm_seeded,
     })
 }

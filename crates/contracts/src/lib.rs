@@ -19,16 +19,19 @@
 //!   any worker count, with symbolic counter-examples;
 //! * [`compose`] — the driver [`compose::check_compositional`]: `N`
 //!   (deduplicated, cached) refinement checks plus `N−1` small abstract
-//!   pair checks; any gap in the argument falls back to the monolithic
-//!   engine, so no spurious Safe is possible.
+//!   pair checks, each warm-started from its stored proof when that
+//!   proof transfers; any gap in the argument falls back to the
+//!   monolithic engine, so no spurious Safe is possible.
 
 pub mod compose;
 pub mod contract;
 pub mod refine;
+mod store;
 
 pub use compose::{
-    cache_stats, check_compositional, reset_cache, CompositionalLimits, CompositionalOutcome,
-    CompositionalStats, CompositionalVerdict, ContractCacheStats, EnvProfile, PROFILE_NAMES,
+    cache_stats, check_compositional, check_compositional_lowered, reset_cache,
+    CompositionalLimits, CompositionalOutcome, CompositionalStats, CompositionalVerdict,
+    ContractCacheStats, EnvProfile, PROFILE_NAMES,
 };
 pub use contract::{
     lease_client, lease_provider, localize, supervisor_iface, top_for, Contract, ContractKind,

@@ -121,8 +121,8 @@ impl Shared {
         let b = self.budget.stats();
         let c = self.cache.stats();
         let d = self.disk.as_ref().map(|d| d.stats()).unwrap_or_default();
-        // The refinement verdict cache is process-global (the
-        // compositional backend shares it across requests), so the
+        // The refinement verdict and pair proof store is process-global
+        // (the compositional backend shares it across requests), so the
         // daemon polls rather than owns it.
         let r = pte_contracts::cache_stats();
         DaemonStats {
@@ -156,6 +156,10 @@ impl Shared {
             refine_cache_misses: r.misses,
             refine_cache_entries: r.entries as usize,
             contracts_deduped: r.deduped,
+            pair_cache_hits: r.pair_hits,
+            pair_cache_misses: r.pair_misses,
+            pair_cache_entries: r.pair_entries as usize,
+            pair_cache_bytes: r.pair_bytes,
             uptime_ms: self.started.elapsed().as_secs_f64() * 1e3,
         }
     }

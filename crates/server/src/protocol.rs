@@ -227,8 +227,8 @@ pub struct DaemonStats {
     pub disk_max_bytes: u64,
     /// Compositional refinement checks answered from the process-global
     /// verdict cache ([`pte_contracts::cache_stats`]) — all four
-    /// refinement counters are zero until a
-    /// `--backend compositional` request runs.
+    /// refinement counters, and the four pair counters below, are zero
+    /// until a `--backend compositional` request runs.
     pub refine_cache_hits: u64,
     /// Compositional refinement checks that had to explore.
     pub refine_cache_misses: u64,
@@ -237,6 +237,16 @@ pub struct DaemonStats {
     /// Refinement obligations skipped because a structurally identical
     /// device was already checked in the same run.
     pub contracts_deduped: u64,
+    /// Compositional pair searches answered by transferring a stored
+    /// pair proof (same store, [`pte_contracts::cache_stats`]).
+    pub pair_cache_hits: u64,
+    /// Compositional pair searches that found no admissible stored proof
+    /// and ran cold.
+    pub pair_cache_misses: u64,
+    /// Pair proofs currently stored in-process.
+    pub pair_cache_entries: usize,
+    /// Bytes of the stored pair proofs, encoded.
+    pub pair_cache_bytes: u64,
     /// Daemon uptime, milliseconds.
     pub uptime_ms: f64,
 }
@@ -399,6 +409,10 @@ mod tests {
                     refine_cache_misses: 2,
                     refine_cache_entries: 2,
                     contracts_deduped: 9,
+                    pair_cache_hits: 11,
+                    pair_cache_misses: 11,
+                    pair_cache_entries: 11,
+                    pair_cache_bytes: 1 << 20,
                     ..DaemonStats::default()
                 },
             },

@@ -89,8 +89,8 @@
 //! ```
 
 use pte_contracts::{
-    check_compositional, CompositionalLimits, CompositionalStats, CompositionalVerdict, EnvProfile,
-    RefineLimits, PROFILE_NAMES,
+    check_compositional_lowered, CompositionalLimits, CompositionalStats, CompositionalVerdict,
+    EnvProfile, RefineLimits, PROFILE_NAMES,
 };
 use pte_core::pattern::{check_conditions, LeaseConfig};
 use pte_tracheotomy::registry;
@@ -1164,14 +1164,10 @@ impl VerificationRequest {
             .expect("contract profile validated at dispatch");
         let limits = self.limits(recommended, cancel.clone(), progress, cap, io);
         let climits = CompositionalLimits {
-            // Warm-start artifacts describe the *monolithic* zone graph
-            // and must not leak into the abstract pair searches; the
-            // fallback path below still gets them.
-            search: Limits {
-                warm_start: None,
-                capture: None,
-                ..limits.clone()
-            },
+            // The pair searches read neither request artifact (both
+            // describe the *monolithic* zone graph; the fallback below
+            // gets them): they transfer the pair proofs the store keeps.
+            search: limits.clone(),
             refine: RefineLimits {
                 max_pairs: self
                     .budget
@@ -1185,7 +1181,12 @@ impl VerificationRequest {
                 },
             },
         };
-        match check_compositional(&arm.cfg, self.leased, profile, &climits) {
+        // `warm_start(false)` forces every pair search cold too.
+        let transfer = self.budget.warm_start.unwrap_or(true);
+        let outcome = arm.lowered().and_then(|lowered| {
+            check_compositional_lowered(&arm.cfg, &lowered.net, profile, &climits, transfer)
+        });
+        match outcome {
             Err(e) => {
                 stats.rendered = format!("error: {e}");
                 stats.error = Some(e.clone());
@@ -1198,11 +1199,16 @@ impl VerificationRequest {
                         let s = &out.stats;
                         stats.states = s.abstract_states;
                         stats.transitions = s.abstract_transitions;
+                        stats.warm_seeded = out.warm_seeded;
+                        let transferred = match out.pairs_transferred {
+                            0 => String::new(),
+                            n => format!("; {n} pair proofs transferred"),
+                        };
                         stats.rendered = format!(
                             "SAFE (compositional, profile {}): {} device contracts hold \
                              ({} refined, {} deduplicated, {} cached; {} refinement pairs) \
                              and all {} abstract pair networks are safe \
-                             ({} abstract states)",
+                             ({} abstract states{transferred})",
                             profile.name(),
                             s.contracts_total,
                             s.contracts_checked,
@@ -1288,7 +1294,11 @@ fn symbolic_location_reach(
     targets: &[(String, String)],
     limits: &Limits,
 ) -> Result<SymbolicVerdict, String> {
-    let net = &arm.lowered()?.net;
+    let lowered = arm.lowered()?;
+    // The report's analysis summary covers every monolithic search,
+    // though this one composes its own monitor and reads none of it.
+    lowered.analysis();
+    let net = &lowered.net;
     let queries: Vec<(&str, &str)> = targets
         .iter()
         .map(|(a, l)| (a.as_str(), l.as_str()))
@@ -1325,7 +1335,7 @@ impl Arm {
     /// The analysis summary of this arm, when a zone search lowered it.
     fn analysis(&self) -> Option<AnalysisSummary> {
         let lowered = self.lowered.get()?.as_ref().ok()?;
-        Some(AnalysisSummary::from(&lowered.analysis))
+        Some(AnalysisSummary::from(lowered.analysis_if_run()?))
     }
 }
 

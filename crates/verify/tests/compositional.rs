@@ -1,13 +1,16 @@
 //! The compositional assume-guarantee backend through the unified API
 //! front door: agreement with the monolithic symbolic engine on every
 //! fast chain (both arms), the soundness-by-construction fallback on
-//! the baseline, and the scale gap the chain-12/16/20 registry
-//! scenarios exist for — the monolithic engine trips a budget the
-//! compositional argument closes with room to spare. The fast tests
-//! stay debug-mode cheap; the full release-mode matrix (chain-2..8
-//! both arms, and the registry-budget scale gate) is `#[ignore]`d and
-//! run where tier-1 time permits.
+//! the baseline, pair proof transfers on a relaxed edit, and the scale
+//! gap the chain-12/16/20 registry scenarios exist for — the monolithic
+//! engine trips a budget the compositional argument closes with room to
+//! spare. The fast tests stay debug-mode cheap; the full release-mode
+//! matrix (chain-2..8 both arms, and the registry-budget scale gate) is
+//! `#[ignore]`d and run where tier-1 time permits.
 
+use pte_core::pattern::LeaseConfig;
+use pte_core::rules::PairSpec;
+use pte_hybrid::Time;
 use pte_tracheotomy::registry;
 use pte_verify::{BackendSel, Inconclusive, Verdict, VerificationRequest};
 
@@ -26,9 +29,11 @@ fn request(
 
 /// Compositional and symbolic verdicts agree on the fast registry
 /// scenarios, both arms. The leased arm closes through the contract
-/// argument (stats prove it stayed compositional); the baseline arm
-/// falls back to the monolithic engine and reports its Unsafe verdict
-/// — never a spurious Safe, never an abstract Unsafe.
+/// argument (stats prove it stayed compositional, and the report has
+/// no analysis: nothing analyzed the monolithic network); the baseline
+/// arm falls back to the monolithic engine and reports the `Symbolic`
+/// run's verdict, witness and analysis — never a spurious Safe, never
+/// an abstract Unsafe.
 #[test]
 fn compositional_agrees_with_symbolic_on_fast_scenarios() {
     for s in registry::registry() {
@@ -61,6 +66,7 @@ fn compositional_agrees_with_symbolic_on_fast_scenarios() {
                     stats.pair_networks
                 );
                 assert!(stats.abstract_states > 0);
+                assert_eq!(comp.analysis, None, "{}", s.name);
             } else {
                 assert_eq!(comp.verdict, Verdict::Unsafe, "{}: {comp}", s.name);
                 let b = comp.backend("compositional").expect("backend stats");
@@ -75,9 +81,71 @@ fn compositional_agrees_with_symbolic_on_fast_scenarios() {
                     "{}: the fallback falsification carries a witness",
                     s.name
                 );
+                assert_eq!(comp.witness, symbolic.witness, "{}", s.name);
+                assert!(comp.analysis.is_some(), "{}", s.name);
+                assert_eq!(comp.analysis, symbolic.analysis, "{}", s.name);
             }
         }
     }
+}
+
+/// A relaxed edit of a compositional proof (every safeguard halved, the
+/// network untouched) transfers every pair proof: the report names the
+/// transferred pairs and seeds exactly the cold proof's abstract states.
+/// `warm_start(false)` forces the same edit cold. The configuration is
+/// chain-4 with every constant tripled, which no other test in this
+/// binary proves: the pair proof store is process-global.
+#[test]
+fn relaxed_edit_transfers_every_pair_proof() {
+    let triple = |t: Time| Time::seconds(t.as_secs_f64() * 3.0);
+    let all = |ts: &[Time]| ts.iter().copied().map(triple).collect::<Vec<_>>();
+    let chain = LeaseConfig::chain(4);
+    let cfg = LeaseConfig {
+        t_fb0_min: triple(chain.t_fb0_min),
+        t_wait_max: triple(chain.t_wait_max),
+        t_req_max: triple(chain.t_req_max),
+        t_enter: all(&chain.t_enter),
+        t_run: all(&chain.t_run),
+        t_exit: all(&chain.t_exit),
+        safeguards: vec![PairSpec::new(Time::seconds(3.0), Time::seconds(1.5)); 3],
+        ..chain
+    };
+    let edit = LeaseConfig {
+        safeguards: vec![PairSpec::new(Time::seconds(1.5), Time::seconds(0.75)); 3],
+        ..cfg.clone()
+    };
+    let run = |cfg: &LeaseConfig, warm: bool| {
+        let report = VerificationRequest::config(cfg.clone())
+            .backend(BackendSel::Compositional)
+            .workers(2)
+            .warm_start(warm)
+            .run()
+            .unwrap();
+        assert_eq!(report.verdict, Verdict::Safe, "{report}");
+        let b = report
+            .backend("compositional")
+            .expect("backend stats")
+            .clone();
+        (report, b)
+    };
+
+    let (cold, b) = run(&cfg, true);
+    assert_eq!(b.warm_seeded, 0);
+    assert!(!b.rendered.contains("transferred"), "{}", b.rendered);
+    let states = cold.compositional.expect("stage counters").abstract_states;
+
+    let (warm, b) = run(&edit, true);
+    assert_eq!(b.warm_seeded, states, "{}", b.rendered);
+    assert!(
+        b.rendered.contains("3 pair proofs transferred"),
+        "{}",
+        b.rendered
+    );
+    assert_eq!(warm.analysis, None);
+
+    let (_, b) = run(&edit, false);
+    assert_eq!(b.warm_seeded, 0, "warm_start(false) transfers nothing");
+    assert!(!b.rendered.contains("transferred"), "{}", b.rendered);
 }
 
 /// The scale gap, sized for debug-mode tier-1: at a 6 000-state

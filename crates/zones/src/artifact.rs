@@ -35,10 +35,21 @@
 //!    operator, and activity-mask digest all equal, so the stored zones
 //!    mean the same thing they meant at capture time.
 //!
+//! Past the gates, every stored entry is re-checked against the new
+//! monitor: its zone must be non-empty and pass the monitor's settled
+//! check. Both read the stored constraints directly, in O(n·k) per
+//! entry ([`MinimalDbm::upper_bounds`],
+//! [`crate::Monitor::settled_ok`]); no entry's matrix is rebuilt.
+//!
 //! Anything that fails a gate is a cold start; a warm start can
 //! therefore never flip a verdict (it only ever *returns* `Safe`, and
 //! only when the transfer argument holds — enforced by the cold-vs-warm
 //! bit-identity tests in `pte-verify`).
+//!
+//! Two consumers keep artifacts: the daemon's disk tier persists one
+//! per `Safe` symbolic request, and the compositional driver in
+//! `pte-contracts` holds one per pair network in memory, encoded, so a
+//! safeguard edit of a fleet transfers every pair proof.
 
 use crate::analysis::ActivityMasks;
 use crate::dbm::{Bound, MinCon, MinimalDbm};

@@ -965,9 +965,9 @@ impl MinimalDbm {
 
     /// Reassembles a zone from serialized parts ([`MinimalDbm::dim`] +
     /// [`MinimalDbm::constraints`]). The parts are trusted to describe
-    /// a canonical non-empty zone's minimal form — artifact loaders
-    /// re-validate by checking [`MinimalDbm::restore`] is non-empty
-    /// before admitting the zone anywhere.
+    /// a canonical non-empty zone's minimal form — warm-start
+    /// validation re-checks that the zone is non-empty
+    /// ([`MinimalDbm::upper_bounds`]) before admitting it anywhere.
     pub fn from_parts(dim: u8, cons: Vec<MinCon>) -> MinimalDbm {
         MinimalDbm {
             dim,
@@ -1008,66 +1008,128 @@ impl MinimalDbm {
             .all(|c| other.get(c.i as usize, c.j as usize) <= c.b)
     }
 
-    /// Rebuilds the full canonical DBM: start unconstrained, apply the
-    /// stored constraints, close. Inverse of [`Dbm::reduce`] on
-    /// canonical non-empty zones.
+    /// Rebuilds the full canonical DBM: start unconstrained, conjoin the
+    /// stored constraints, close ([`Dbm::canonicalize`]). Inverse of
+    /// [`Dbm::reduce`] on canonical non-empty zones. The engine never
+    /// calls it — warm-start validation reads
+    /// [`MinimalDbm::upper_bounds`] instead — so it stays the plain
+    /// O(n³) construction, the oracle the property tests check the
+    /// compact routines against.
     pub fn restore(&self) -> Dbm {
-        let mut z = Dbm {
-            dim: 0,
-            m: Vec::new(),
-        };
-        self.restore_into(&mut z);
-        z
-    }
-
-    /// [`MinimalDbm::restore`] into a caller-owned scratch matrix —
-    /// the artifact-validation hot path restores thousands of zones
-    /// back-to-back, and this form both reuses the allocation and
-    /// restricts the Floyd–Warshall closure to constraint endpoints:
-    /// a finite path can only *leave* a node with an outgoing stored
-    /// constraint, so rows (and pivots) without one are final from the
-    /// start. On activity-reduced zones most clocks are free in most
-    /// states, which makes the restricted closure several times
-    /// cheaper than the dense one while producing the identical
-    /// canonical matrix (negative cycles still surface on a pivot's
-    /// diagonal, so [`Dbm::is_empty`] works unchanged).
-    pub fn restore_into(&self, z: &mut Dbm) {
         let d = self.dim as usize;
-        z.dim = d;
-        z.m.clear();
-        z.m.resize(d * d, Bound::INF);
+        let mut z = Dbm {
+            dim: d,
+            m: vec![Bound::INF; d * d],
+        };
         for i in 0..d {
             z.m[i * d + i] = Bound::LE_ZERO;
         }
-        // `dim` is a u8, so 4×64 bits cover every index.
-        let mut out = [0u64; 4];
-        let mut inn = [0u64; 4];
         for c in self.cons.iter() {
-            z.m[c.i as usize * d + c.j as usize] = c.b;
-            out[(c.i >> 6) as usize] |= 1 << (c.i & 63);
-            inn[(c.j >> 6) as usize] |= 1 << (c.j & 63);
+            let k = c.i as usize * d + c.j as usize;
+            if c.b < z.m[k] {
+                z.m[k] = c.b;
+            }
         }
-        let bit = |mask: &[u64; 4], v: usize| mask[v >> 6] & (1u64 << (v & 63)) != 0;
-        for k in 0..d {
-            if !bit(&out, k) || !bit(&inn, k) {
+        z.canonicalize();
+        z
+    }
+
+    /// The upper-bound column of the zone, read from the stored
+    /// constraints without rebuilding the matrix: fills `out[i]` with
+    /// the canonical bound on `xi - x0` (entry `(i, 0)` of
+    /// [`MinimalDbm::restore`]) and returns `true`, or returns `false`
+    /// when the constraints are unsatisfiable (`out` is then
+    /// unspecified). O(n·k) for `k` constraints over `n` clocks, where
+    /// a restore is O(n³).
+    ///
+    /// A stored constraint `xi - xj ≺ b` is an edge `i → j` of weight
+    /// `b`, and the closed matrix holds shortest paths. Two passes of
+    /// Bellman–Ford over those edges:
+    ///
+    /// 1. **Emptiness** — a negative cycle, relaxing toward a virtual
+    ///    target every node reaches at weight 0. A cycle is negative
+    ///    when its values sum below zero, or to zero with a strict
+    ///    edge. `Bound` addition keeps strictness as a flag, so
+    ///    `Bound`-valued relaxation settles on a strict zero-weight
+    ///    cycle (`x - y < 0`, `y - x ≤ 0`) and would miss it. Each edge
+    ///    therefore weighs the integer `m·(dim+1) − [strict]`: a simple
+    ///    cycle has at most `dim` edges, so its scaled sum is negative
+    ///    exactly when the cycle is.
+    /// 2. **The column** — single-target relaxation into the reference
+    ///    clock with the same weights. Without negative cycles the
+    ///    shortest paths are simple, so they carry fewer than `dim`
+    ///    strict edges, and the minimal scaled weight `m·(dim+1) − s`
+    ///    decodes to the least `m`, strict when `s > 0`: the
+    ///    `Bound`-valued shortest path.
+    ///
+    /// The weights are `i128`, so no input overflows. A column entry
+    /// outside the tick encoding also returns `false`; no zone
+    /// [`Dbm::reduce`] produced has one.
+    pub fn upper_bounds(&self, out: &mut Vec<Bound>) -> bool {
+        /// Not yet connected to the reference clock.
+        const UNREACHED: i128 = i128::MAX;
+        let d = self.dim as usize;
+        let scale = d as i128 + 1;
+        let weight = |b: Bound| i128::from(b.value()) * scale - i128::from(!b.is_weak());
+        // Up to `d` rounds over every finite constraint; `false` when
+        // the last round still improved a distance (a negative cycle).
+        // Rounds sweep the constraints forward and backward in turn, so
+        // a path stored against one sweep's order settles in the next:
+        // on warm-start artifacts this halves the rounds.
+        let relax = |dist: &mut [i128; 256]| -> bool {
+            for round in 0..d {
+                let mut changed = false;
+                let mut step = |c: &MinCon| {
+                    let to = dist[c.j as usize];
+                    if c.b.is_inf() || to == UNREACHED {
+                        return;
+                    }
+                    let via = to + weight(c.b);
+                    if via < dist[c.i as usize] {
+                        dist[c.i as usize] = via;
+                        changed = true;
+                    }
+                };
+                if round % 2 == 0 {
+                    self.cons.iter().for_each(&mut step);
+                } else {
+                    self.cons.iter().rev().for_each(&mut step);
+                }
+                if !changed {
+                    return true;
+                }
+            }
+            false
+        };
+        // `dim` is a u8, so 256 slots cover every index.
+        let mut dist = [0i128; 256];
+        if !relax(&mut dist) {
+            return false;
+        }
+        dist[..d].fill(UNREACHED);
+        dist[0] = 0;
+        relax(&mut dist);
+        out.clear();
+        for &s in &dist[..d] {
+            if s == UNREACHED {
+                out.push(Bound::INF);
                 continue;
             }
-            for i in 0..d {
-                if !bit(&out, i) {
-                    continue;
+            // `s = m·(dim+1) − strict edges`, fewer than `dim + 1` of
+            // them: `m` is `s / (dim+1)` rounded up.
+            let m = s.div_euclid(scale) + i128::from(s.rem_euclid(scale) != 0);
+            match i64::try_from(m) {
+                Ok(m) if m.unsigned_abs() < INF_RAW as u64 / 2 => {
+                    out.push(if i128::from(m) * scale == s {
+                        Bound::le(m)
+                    } else {
+                        Bound::lt(m)
+                    })
                 }
-                let ik = z.m[i * d + k];
-                if ik.is_inf() {
-                    continue;
-                }
-                for j in 0..d {
-                    let through = ik + z.m[k * d + j];
-                    if through < z.m[i * d + j] {
-                        z.m[i * d + j] = through;
-                    }
-                }
+                _ => return false,
             }
         }
+        true
     }
 }
 

@@ -102,6 +102,7 @@ pub use ta::LuBounds;
 
 use pte_core::pattern::{build_pattern_system, LeaseConfig};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Ticks per second: constants are scaled to integer microseconds, the
 /// exactness condition for DBM canonicalization.
@@ -178,42 +179,55 @@ pub fn check_lease_pattern_with(
 /// the entry point `pte-lint` uses. Purely static: no state-space
 /// exploration happens.
 pub fn analyze_lease_pattern(cfg: &LeaseConfig, leased: bool) -> Result<ModelAnalysis, ZonesError> {
-    LoweredPattern::new(cfg, leased).map(|p| p.analysis)
+    LoweredPattern::new(cfg, leased).map(|p| analyze(&p.net))
 }
 
 /// One arm of the `N`-entity lease-pattern system for a configuration,
-/// built, lowered and statically analyzed once, so a search and a
-/// report's analysis summary share a single pass of each.
+/// built and lowered once, and statically analyzed at most once, on
+/// first use: every search of the arm and a report's analysis summary
+/// share one pass of each, and a caller that only reads the network
+/// (the compositional argument) never pays for the analysis.
 #[derive(Debug)]
 pub struct LoweredPattern {
     /// The lowered timed-automata network.
     pub net: ta::TaNetwork,
-    /// The [static model analysis](analysis) of [`LoweredPattern::net`].
-    pub analysis: ModelAnalysis,
+    /// The [static model analysis](analysis) of [`LoweredPattern::net`],
+    /// once something has asked for it.
+    analysis: OnceLock<ModelAnalysis>,
     /// The PTE rules of the configuration, in ticks.
     spec: ObserverSpec,
 }
 
 impl LoweredPattern {
-    /// Builds the leased (or lease-stripped) pattern system for `cfg`,
-    /// lowers it and analyzes the network.
+    /// Builds the leased (or lease-stripped) pattern system for `cfg`
+    /// and lowers it.
     pub fn new(cfg: &LeaseConfig, leased: bool) -> Result<LoweredPattern, ZonesError> {
         let sys =
             build_pattern_system(cfg, leased).map_err(|e| ZonesError::Build(format!("{e:?}")))?;
-        let net = lower_network(&sys.automata)?;
-        let analysis = analyze(&net);
         Ok(LoweredPattern {
-            net,
-            analysis,
+            net: lower_network(&sys.automata)?,
+            analysis: OnceLock::new(),
             spec: ObserverSpec::from(cfg.pte_spec()),
         })
+    }
+
+    /// The [static model analysis](analysis) of the network, run on the
+    /// first call.
+    pub fn analysis(&self) -> &ModelAnalysis {
+        self.analysis.get_or_init(|| analyze(&self.net))
+    }
+
+    /// The analysis, if a search or [`LoweredPattern::analysis`] has
+    /// already run it.
+    pub fn analysis_if_run(&self) -> Option<&ModelAnalysis> {
+        self.analysis.get()
     }
 
     /// Symbolically checks the configuration's PTE rules over every
     /// timing and loss fate, like [`check`], reusing this arm's
     /// analysis instead of running it again.
     pub fn check(&self, limits: &Limits) -> Result<SymbolicVerdict, ZonesError> {
-        reach::check_analyzed(&self.net, &self.analysis, &self.spec, limits)
+        reach::check_analyzed(&self.net, self.analysis(), &self.spec, limits)
             .map_err(ZonesError::Spec)
     }
 }

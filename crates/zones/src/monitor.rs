@@ -49,7 +49,7 @@
 //!   "counter-example" is a witness trace to the target location).
 
 use crate::artifact::{Digest, WarmProfile};
-use crate::dbm::Dbm;
+use crate::dbm::{Bound, Dbm};
 use crate::ta::{Atom, LuBounds, Rel, TaNetwork};
 use pte_core::rules::PteSpec;
 use std::fmt;
@@ -154,6 +154,19 @@ pub trait Monitor: Sync {
         state: &MonitorState,
         zone: &Dbm,
     ) -> Result<(), MonitorViolation>;
+
+    /// The bounds form of [`Monitor::check_settled`]: whether a settled
+    /// state passes, given only its zone's upper-bound column
+    /// (`upper[c]` bounds `xc - x0`, as
+    /// [`MinimalDbm::upper_bounds`](crate::dbm::MinimalDbm::upper_bounds)
+    /// reads it from a stored zone). A monitor implements it only when
+    /// its settled check reads nothing else of the zone, and both forms
+    /// must then apply one rule. Warm-start validation runs this form
+    /// over every stored entry, so `None` — the default — means the
+    /// monitor never warm-starts.
+    fn settled_ok(&self, _locs: &[u32], _state: &MonitorState, _upper: &[Bound]) -> Option<bool> {
+        None
+    }
 
     /// This monitor's contribution to passed-list artifact validity
     /// ([`crate::artifact::PassedArtifact`]): a structural digest plus
@@ -395,6 +408,44 @@ impl<'a> PteMonitor<'a> {
         self.risky_tab[ai][loc]
     }
 
+    /// Rule 1's violation predicate for entity `ei`: `r_ei > bound`.
+    fn rule1_excess(&self, ei: usize) -> Atom {
+        Atom {
+            clock: self.r_clock[ei],
+            rel: Rel::Gt,
+            ticks: self.spec.rule1_ticks[ei],
+        }
+    }
+
+    /// The settled-state rules, in report order, reading the zone only
+    /// through `upper(c)`, the bound on `xc - x0`: the first breached
+    /// rule, or `None`. Both forms of the settled check apply it.
+    fn settled_breach(
+        &self,
+        locs: &[u32],
+        upper: impl Fn(usize) -> Bound,
+    ) -> Option<ViolationKind> {
+        // Rule 1 on the delay-closed zone: can any risky entity dwell
+        // beyond its bound? `r > bound` is satisfiable exactly when
+        // `r`'s upper bound admits a larger value ([`Dbm::satisfies`]).
+        for (ei, &ai) in self.entity_aut.iter().enumerate() {
+            let over = self.rule1_excess(ei);
+            if self.risky(ai, locs[ai] as usize)
+                && upper(over.clock) + Bound::lt(-over.ticks) >= Bound::LE_ZERO
+            {
+                return Some(ViolationKind::Rule1 { entity: ei });
+            }
+        }
+        // State-level coverage: an inner entity risky while its outer
+        // entity is not.
+        (0..self.spec.pairs.len())
+            .find(|&pk| {
+                let (outer, inner) = (self.entity_aut[pk], self.entity_aut[pk + 1]);
+                self.risky(inner, locs[inner] as usize) && !self.risky(outer, locs[outer] as usize)
+            })
+            .map(|pair| ViolationKind::Coverage { pair })
+    }
+
     /// Entity `ei` enters risky: coverage + enter-lead checks, pair
     /// state updates, `r` clock reset.
     fn observe_enter(
@@ -548,39 +599,25 @@ impl Monitor for PteMonitor<'_> {
         _state: &MonitorState,
         zone: &Dbm,
     ) -> Result<(), MonitorViolation> {
-        // Rule 1 on the delay-closed zone: can any risky entity dwell
-        // beyond its bound?
-        for (ei, &ai) in self.entity_aut.iter().enumerate() {
-            if !self.risky(ai, locs[ai] as usize) {
-                continue;
-            }
-            let over = Atom {
-                clock: self.r_clock[ei],
-                rel: Rel::Gt,
-                ticks: self.spec.rule1_ticks[ei],
-            };
-            if over.satisfiable_in(zone) {
+        match self.settled_breach(locs, |c| zone.get(c, 0)) {
+            None => Ok(()),
+            Some(ViolationKind::Rule1 { entity }) => {
                 let mut witness = zone.clone();
-                over.apply_and_close(&mut witness);
-                return Err(ViolationKind::Rule1 { entity: ei }.violation(
+                self.rule1_excess(entity).apply_and_close(&mut witness);
+                Err(ViolationKind::Rule1 { entity }.violation(
                     Some(format!(
                         "dwell risky beyond the Rule-1 bound ({} ticks)",
-                        self.spec.rule1_ticks[ei]
+                        self.spec.rule1_ticks[entity]
                     )),
                     Some(witness),
-                ));
+                ))
             }
+            Some(kind) => Err(kind.violation(None, None)),
         }
-        // State-level coverage: an inner entity risky while its outer
-        // entity is not.
-        for pk in 0..self.spec.pairs.len() {
-            let outer = self.entity_aut[pk];
-            let inner = self.entity_aut[pk + 1];
-            if self.risky(inner, locs[inner] as usize) && !self.risky(outer, locs[outer] as usize) {
-                return Err(ViolationKind::Coverage { pair: pk }.violation(None, None));
-            }
-        }
-        Ok(())
+    }
+
+    fn settled_ok(&self, locs: &[u32], _state: &MonitorState, upper: &[Bound]) -> Option<bool> {
+        Some(self.settled_breach(locs, |c| upper[c]).is_none())
     }
 
     /// Structure: which entities (and their automaton/clock layout) the
@@ -655,6 +692,14 @@ impl LocationReachMonitor {
             targets,
         })
     }
+
+    /// The settled rule both forms of the settled check apply: the
+    /// first target location the state occupies. Reads no clock.
+    fn occupied_target(&self, locs: &[u32]) -> Option<usize> {
+        self.targets
+            .iter()
+            .position(|&(ai, li, _)| locs[ai] as usize == li)
+    }
 }
 
 impl Monitor for LocationReachMonitor {
@@ -696,18 +741,20 @@ impl Monitor for LocationReachMonitor {
         _state: &MonitorState,
         _zone: &Dbm,
     ) -> Result<(), MonitorViolation> {
-        for (ti, (ai, li, label)) in self.targets.iter().enumerate() {
-            if locs[*ai] as usize == *li {
-                return Err(MonitorViolation {
-                    class: 0,
-                    index: ti as u32,
-                    message: format!("location `{label}` is reachable"),
-                    trace_note: None,
-                    witness: None,
-                });
-            }
+        match self.occupied_target(locs) {
+            None => Ok(()),
+            Some(ti) => Err(MonitorViolation {
+                class: 0,
+                index: ti as u32,
+                message: format!("location `{}` is reachable", self.targets[ti].2),
+                trace_note: None,
+                witness: None,
+            }),
         }
-        Ok(())
+    }
+
+    fn settled_ok(&self, locs: &[u32], _state: &MonitorState, _upper: &[Bound]) -> Option<bool> {
+        Some(self.occupied_target(locs).is_none())
     }
 
     /// Reachability has no tunable constants: the profile is the target

@@ -89,9 +89,11 @@
 //!     pivot (O(n·k)): raising entries of a closed matrix cannot
 //!     shorten any path, so every other entry is already final.
 //!
-//!   A full closure remains only where a matrix is rebuilt from stored
-//!   constraints (warm-start validation,
-//!   [`crate::dbm::MinimalDbm::restore`]).
+//!   Warm-start validation rebuilds no matrix at all: it reads
+//!   emptiness and the upper-bound column straight from each stored
+//!   zone's constraints ([`crate::dbm::MinimalDbm::upper_bounds`],
+//!   O(n·k)). The one full closure left,
+//!   [`crate::dbm::MinimalDbm::restore`], is a test oracle.
 //! * **Interned, allocation-free successor plumbing** — action labels
 //!   are fixed-size `Act` codes (rendered to strings only when a
 //!   counter-example is reported), event roots are interned into
@@ -908,10 +910,14 @@ fn check_monitored_with(
 /// monitor profile admission ([`crate::WarmProfile::admits`]) means
 /// every new violation predicate is a subset of an old one; hence the
 /// old "no violation reachable" verdict covers the new model verbatim.
-/// The per-entry re-validation below (shape checks, non-empty restore,
-/// re-running the *new* monitor's settled check on every stored zone)
-/// is defense in depth against a corrupt or mismatched artifact that
-/// happens to pass the digests.
+/// The per-entry re-validation below (shape checks, non-emptiness, the
+/// *new* monitor's settled check on every stored zone) is defense in
+/// depth against a corrupt or mismatched artifact that happens to pass
+/// the digests. It reads each stored zone in O(n·k) without rebuilding
+/// its matrix: the settled check needs only emptiness and the
+/// upper-bound column ([`MinimalDbm::upper_bounds`],
+/// [`Monitor::settled_ok`]), so a monitor without that bounds form
+/// never warm-starts.
 fn try_warm_start(
     art: &PassedArtifact,
     net: &TaNetwork,
@@ -932,7 +938,7 @@ fn try_warm_start(
         return None;
     }
     let mon_len = monitor.initial_state().len();
-    let mut scratch = Dbm::universe(nclocks);
+    let mut upper = Vec::with_capacity(nclocks + 1);
     for e in &art.entries {
         if e.locs.len() != net.automata.len()
             || e.mon.len() != mon_len
@@ -947,8 +953,9 @@ fn try_warm_start(
         {
             return None;
         }
-        e.zone.restore_into(&mut scratch);
-        if scratch.is_empty() || monitor.check_settled(&e.locs, &e.mon, &scratch).is_err() {
+        if !e.zone.upper_bounds(&mut upper)
+            || monitor.settled_ok(&e.locs, &e.mon, &upper) != Some(true)
+        {
             return None;
         }
     }

@@ -6,7 +6,7 @@
 //! hand-picked ones.
 
 use proptest::prelude::*;
-use pte_zones::dbm::{Bound, Dbm};
+use pte_zones::dbm::{Bound, Dbm, MinCon, MinimalDbm};
 
 const CLOCKS: usize = 4;
 
@@ -127,6 +127,63 @@ fn sized() -> impl Strategy<Value = Script> {
 /// Per-clock bound vectors, long enough for the widest script.
 fn bounds() -> impl Strategy<Value = Vec<i64>> {
     proptest::collection::vec(0i64..60, MAX_CLOCKS + 1)
+}
+
+/// A constraint set `reduce` never produces, over a drawn clock count:
+/// random constraints `xi - xj ≺ m` (the reference clock and
+/// self-loops included, indices folded onto the dimension) plus a
+/// cycle whose values sum to zero, so strict zero-weight cycles — empty
+/// zones that `Bound`-valued relaxation cannot see — come up often.
+#[derive(Clone, Debug)]
+struct RawZone {
+    clocks: usize,
+    cons: Vec<(usize, usize, i64, u8)>,
+    cycle: Vec<(usize, i64, u8)>,
+}
+
+impl RawZone {
+    fn minimal(&self) -> MinimalDbm {
+        let d = self.clocks + 1;
+        let con = |i: usize, j: usize, m: i64, strict: u8| MinCon {
+            i: (i % d) as u8,
+            j: (j % d) as u8,
+            b: if strict == 1 {
+                Bound::lt(m)
+            } else {
+                Bound::le(m)
+            },
+        };
+        let mut cons: Vec<MinCon> = self
+            .cons
+            .iter()
+            .map(|&(i, j, m, strict)| con(i, j, m, strict))
+            .collect();
+        if let (Some(&(head, _, _)), Some(&(last, _, strict))) =
+            (self.cycle.first(), self.cycle.last())
+        {
+            let mut sum = 0;
+            for w in self.cycle.windows(2) {
+                cons.push(con(w[0].0, w[1].0, w[0].1, w[0].2));
+                sum += w[0].1;
+            }
+            cons.push(con(last, head, -sum, strict));
+        }
+        MinimalDbm::from_parts(d as u8, cons)
+    }
+}
+
+fn raw_zones() -> impl Strategy<Value = RawZone> {
+    let c = || 0usize..=MAX_CLOCKS;
+    (
+        1usize..=MAX_CLOCKS,
+        proptest::collection::vec((c(), c(), -6i64..6, 0u8..2), 0..12),
+        proptest::collection::vec((c(), -6i64..6, 0u8..2), 0..5),
+    )
+        .prop_map(|(clocks, cons, cycle)| RawZone {
+            clocks,
+            cons,
+            cycle,
+        })
 }
 
 /// Straightforward reference computations the optimized kernels must
@@ -488,6 +545,50 @@ proptest! {
         let reference = oracle::reduce(&z);
         prop_assert_eq!(reduced.constraints(), reference.as_slice());
         prop_assert!(reduced.restore() == z, "restore(reduce(z)) must equal z");
+    }
+
+    /// Warm-start validation's O(n·k) column read agrees with the full
+    /// restore on the zones the engine stores: reduced canonical zones
+    /// over 1–8 clocks, with freed clocks and diagonal constraints, some
+    /// widened by per-clock `Extra⁺_LU` bounds.
+    #[test]
+    fn upper_bounds_match_restore_on_reduced_zones(
+        script in sized(),
+        l in bounds(),
+        u in bounds(),
+        widen in 0u8..2,
+    ) {
+        let mut z = script.zone();
+        prop_assume!(!z.is_empty());
+        if widen == 1 {
+            z.extrapolate_lu_plus(&script.vector(&l), &script.vector(&u));
+        }
+        let reduced = z.reduce();
+        let restored = reduced.restore();
+        let mut column = Vec::new();
+        prop_assert!(reduced.upper_bounds(&mut column), "a stored zone is non-empty");
+        prop_assert_eq!(column.len(), script.clocks + 1);
+        for (i, &b) in column.iter().enumerate() {
+            prop_assert_eq!(b, restored.get(i, 0));
+        }
+    }
+
+    /// On constraint sets `reduce` did not produce, the column read
+    /// finds a zone empty exactly when the full restore does — strict
+    /// zero-weight cycles included — and otherwise reads the same
+    /// column.
+    #[test]
+    fn upper_bounds_detect_emptiness_like_restore(raw in raw_zones()) {
+        let zone = raw.minimal();
+        let restored = zone.restore();
+        let mut column = Vec::new();
+        let nonempty = zone.upper_bounds(&mut column);
+        prop_assert_eq!(nonempty, !restored.is_empty(), "{:?}", zone);
+        if nonempty {
+            for (i, &b) in column.iter().enumerate() {
+                prop_assert_eq!(b, restored.get(i, 0));
+            }
+        }
     }
 
     /// The incremental closure agrees with the full Floyd–Warshall: for
