@@ -26,6 +26,36 @@ fn case_limits() -> Limits {
     }
 }
 
+/// Timed runs behind every scaling and compositional row: the row
+/// records their median, so one slow phase of the host does not move
+/// it.
+const RUNS: usize = 5;
+
+/// Runs `f` [`RUNS`] times; returns the median wall time in seconds and
+/// every run's result, whose deterministic counters the caller asserts
+/// equal.
+fn timed_median<T>(mut f: impl FnMut() -> T) -> (f64, Vec<T>) {
+    let mut secs = Vec::with_capacity(RUNS);
+    let mut outs = Vec::with_capacity(RUNS);
+    for _ in 0..RUNS {
+        let t = Instant::now();
+        outs.push(f());
+        secs.push(t.elapsed().as_secs_f64());
+    }
+    secs.sort_by(f64::total_cmp);
+    (secs[RUNS / 2], outs)
+}
+
+/// Asserts that every run of a row produced the same deterministic
+/// counters and returns them.
+fn same_counters<C: PartialEq + std::fmt::Debug>(row: &str, counters: Vec<C>) -> C {
+    assert!(
+        counters.windows(2).all(|w| w[0] == w[1]),
+        "{row}: deterministic counters differ across runs: {counters:?}"
+    );
+    counters.into_iter().next().expect("at least one run")
+}
+
 /// Canonicalization cost on a representative matrix (the engine's inner
 /// loop: every successor zone is re-closed).
 fn bench_dbm_ops(c: &mut Criterion) {
@@ -186,12 +216,16 @@ fn bench_passed_compression(_c: &mut Criterion) {
 /// N-entity chain scaling: settled states and states/sec of the leased
 /// safety proof for `chain-2` … `chain-8` (the registry's scalable
 /// scenario family), run with the default engine — static analysis on,
-/// so the rows track what `check` actually does. The unreduced
-/// `chain-4` proof (≈ 57k states) is recorded separately by
-/// [`reduction_row`]. The measured rows are
-/// printed and carried into `BENCH_zones.json` by [`emit_bench_json`];
-/// the bench gate requires the `chain-8` row, so a regression that
-/// makes the deep chain infeasible fails CI instead of dropping a row.
+/// so the rows track what `check` actually does — plus the wall time of
+/// the same chain's lease-stripped falsification. Each timing is the
+/// median of [`RUNS`] runs whose counters (states, transitions,
+/// subsumed, passed bytes; the witness text of a falsification) must be
+/// equal. The unreduced `chain-4` proof (≈ 57k states) is recorded
+/// separately by [`reduction_row`]. The measured rows are printed and
+/// carried into `BENCH_zones.json` by [`emit_bench_json`]; the bench
+/// gate requires the `chain-8` row, so a regression that makes the
+/// deep chain infeasible fails CI instead of dropping a row. The
+/// falsification timing is recorded, not gated.
 fn chain_scaling_rows() -> Vec<pte_bench::ScalingRow> {
     let mut rows = Vec::new();
     for n in 2..=8usize {
@@ -203,23 +237,42 @@ fn chain_scaling_rows() -> Vec<pte_bench::ScalingRow> {
             max_states: if n >= 6 { 1_000_000 } else { 120_000 },
             ..case_limits()
         };
-        let t = Instant::now();
-        let verdict = check_lease_pattern_with(&cfg, true, &limits).unwrap();
-        let secs = t.elapsed().as_secs_f64();
-        let SymbolicVerdict::Safe(stats) = verdict else {
-            panic!("chain-{n} leased must be safe");
-        };
+        let (secs, proofs) =
+            timed_median(|| check_lease_pattern_with(&cfg, true, &limits).unwrap());
+        let counters = proofs
+            .iter()
+            .map(|v| {
+                let SymbolicVerdict::Safe(s) = v else {
+                    panic!("chain-{n} leased must be safe");
+                };
+                (s.states, s.transitions, s.subsumed, s.peak_passed_bytes)
+            })
+            .collect();
+        let (states, ..) = same_counters(&format!("chain-{n} proof"), counters);
+        let (falsify_secs, falsifications) =
+            timed_median(|| check_lease_pattern_with(&cfg, false, &limits).unwrap());
+        let witnesses = falsifications
+            .iter()
+            .map(|v| {
+                let SymbolicVerdict::Unsafe(ce) = v else {
+                    panic!("chain-{n} lease-stripped must falsify");
+                };
+                ce.to_string()
+            })
+            .collect();
+        same_counters(&format!("chain-{n} falsification"), witnesses);
         println!(
-            "bench: symbolic_scaling/chain-{n}                          {} states, {:.0} ms, {:.0} states/s",
-            stats.states,
+            "bench: symbolic_scaling/chain-{n}                          {states} states, {:.0} ms, {:.0} states/s; falsify {:.2} ms",
             secs * 1e3,
-            stats.states as f64 / secs
+            states as f64 / secs,
+            falsify_secs * 1e3
         );
         rows.push(pte_bench::ScalingRow {
             scenario: format!("chain-{n}"),
             n,
-            states: stats.states,
+            states,
             secs: Some(secs),
+            falsify_secs: Some(falsify_secs),
         });
     }
     // Zone graphs must grow strictly with N, or the scenarios are not
@@ -293,15 +346,16 @@ fn reduction_row() -> pte_bench::ReductionRow {
 /// and asserted to have stayed on the compositional path (zero
 /// fallback), so a refinement regression that silently rerouted these
 /// rows through the monolithic engine would fail the bench instead of
-/// recording a meaningless timing. One run per row: chain-20 takes
-/// several seconds end to end.
+/// recording a meaningless timing. Each row is the median of [`RUNS`]
+/// runs whose counters (abstract states, pair networks, refinement
+/// pairs) must be equal.
 ///
-/// Each row is a cold proof: the process-global refinement verdict and
-/// pair proof store is emptied before every row, whatever ran earlier
+/// Every run is a cold proof: the process-global refinement verdict and
+/// pair proof store is emptied before each one, whatever ran earlier
 /// in the process. After the chain-12 row, its safeguard-relaxed edit
-/// (every `T^min_risky` / `T^min_safe` halved) is timed against the
-/// stored pair proofs: every pair must transfer, at least 4x faster
-/// than the row's cold proof.
+/// (every `T^min_risky` / `T^min_safe` halved) is timed once against
+/// the pair proofs its last run stored: every pair must transfer, at
+/// least 4x faster than the row's cold proof.
 fn compositional_rows() -> (
     Vec<pte_bench::CompositionalRow>,
     pte_bench::CompositionalWarmRow,
@@ -325,21 +379,31 @@ fn compositional_rows() -> (
     let mut rows = Vec::new();
     let mut warm = None;
     for n in [12usize, 16, 20] {
-        reset_cache();
         let cfg = LeaseConfig::chain(n);
-        let t = Instant::now();
-        let out = check_compositional(&cfg, true, EnvProfile::default(), &limits).unwrap();
-        let secs = t.elapsed().as_secs_f64();
-        assert!(
-            matches!(out.verdict, CompositionalVerdict::Safe),
-            "chain-{n} must close compositionally, got {:?}",
-            out.verdict
-        );
+        let (secs, outs) = timed_median(|| {
+            reset_cache();
+            check_compositional(&cfg, true, EnvProfile::default(), &limits).unwrap()
+        });
+        let counters = outs
+            .iter()
+            .map(|out| {
+                assert!(
+                    matches!(out.verdict, CompositionalVerdict::Safe),
+                    "chain-{n} must close compositionally, got {:?}",
+                    out.verdict
+                );
+                (
+                    out.stats.abstract_states,
+                    out.stats.pair_networks,
+                    out.stats.refine_pairs,
+                )
+            })
+            .collect();
+        let (abstract_states, pair_networks, refine_pairs) =
+            same_counters(&format!("compositional chain-{n}"), counters);
         println!(
             "bench: compositional/chain-{n}                             \
-             {} abstract states, {} pair nets, {:.0} ms",
-            out.stats.abstract_states,
-            out.stats.pair_networks,
+             {abstract_states} abstract states, {pair_networks} pair nets, {:.0} ms",
             secs * 1e3,
         );
         if n == 12 {
@@ -357,7 +421,7 @@ fn compositional_rows() -> (
             let warm_secs = t.elapsed().as_secs_f64();
             assert!(matches!(edit.verdict, CompositionalVerdict::Safe));
             assert_eq!(
-                edit.pairs_transferred, out.stats.pair_networks,
+                edit.pairs_transferred, pair_networks,
                 "every pair proof of the relaxed chain-{n} edit must transfer"
             );
             assert!(
@@ -371,7 +435,7 @@ fn compositional_rows() -> (
                 "bench: compositional_warm/chain-{n} (safeguards halved)   \
                  {} of {} pair proofs transferred, {:.1} ms ({:.0}x)",
                 edit.pairs_transferred,
-                out.stats.pair_networks,
+                pair_networks,
                 warm_secs * 1e3,
                 secs / warm_secs,
             );
@@ -386,9 +450,9 @@ fn compositional_rows() -> (
         rows.push(pte_bench::CompositionalRow {
             scenario: format!("chain-{n}"),
             n,
-            abstract_states: out.stats.abstract_states,
-            pair_networks: out.stats.pair_networks,
-            refine_pairs: out.stats.refine_pairs,
+            abstract_states,
+            pair_networks,
+            refine_pairs,
             secs,
         });
     }

@@ -590,6 +590,7 @@ fn write_bench_json(path: &str, base_budget: usize, workers: usize, rows: &[Row]
             // Campaign cells run concurrently; their wall times measure
             // contention, so only the state counts travel.
             secs: None,
+            falsify_secs: None,
         })
         .collect();
     pte_bench::write_zones_bench_json(

@@ -54,6 +54,10 @@ pub struct ScalingRow {
     /// measure contention, not the engine, so only the
     /// contention-free state counts are recorded.
     pub secs: Option<f64>,
+    /// Wall time in seconds of the same chain's lease-stripped
+    /// falsification, measured like [`ScalingRow::secs`]; `None` for
+    /// campaign rows. Recorded as `falsify_ms`, not gated.
+    pub falsify_secs: Option<f64>,
 }
 
 /// One reduced-vs-unreduced measurement pair attached to
@@ -176,6 +180,9 @@ pub fn write_zones_bench_json(
                         "states_per_sec".into(),
                         num_f(r.states as f64 / secs.max(1e-9)),
                     ));
+                }
+                if let Some(secs) = r.falsify_secs {
+                    row.push(("falsify_ms".into(), num_f(secs * 1e3)));
                 }
                 Value::Obj(row)
             })

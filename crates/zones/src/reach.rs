@@ -48,12 +48,31 @@
 //!   round `r` — phase 1 only reads shared state, and phase 2 admits
 //!   each shard's candidates in the content-defined order above, so
 //!   races can only reorder *work*, never results;
-//! * violations never abort the round; they are collected, and once the
-//!   round completes the engine reports the **lexicographically least
-//!   violating trace** (by step list, then violation kind, then zone),
-//!   which is a content-defined choice independent of which worker found
-//!   it first. Layered BFS additionally guarantees the reported trace
-//!   belongs to the *earliest* round containing any violation;
+//! * the violations an entry yields are a pure function of the entry:
+//!   expanding it reads only zones settled in earlier rounds, never
+//!   what the round has staged so far. They need not be every violation
+//!   reachable in one step: within one edge's emission cascade the first
+//!   violation ends the cascade (`deliver_fates` and `resolve` return it
+//!   through `?`), so the fate branches after it are never tried. Other
+//!   edges are unaffected, and the branch order is fixed;
+//! * the engine reports the **lexicographically least violating trace**
+//!   (by step list, then violation rank, then zone) among the
+//!   violations the round collects — a content-defined choice,
+//!   independent of which worker found what first. Layered BFS
+//!   additionally guarantees the reported trace belongs to the
+//!   *earliest* round containing any violation;
+//! * the least trace does not need the whole round. Every entry of
+//!   round `r` has a path (the steps from the seed to it) of the same
+//!   length, so a violation under a greater path has a greater step
+//!   list. [`check`] with the static analysis on (the default) uses
+//!   this on every falsification. Its reduced search decides only the
+//!   verdict: workers stop claiming entries at the first violation and
+//!   nothing is rendered. The witness then comes from the unreduced
+//!   rerun, which expands rounds `< r` in full and round `r` on the
+//!   calling thread, in groups of equal paths, least path first,
+//!   stopping after the first group that yields a violation. That
+//!   group's least trace is the round's, at every worker count; a round
+//!   without a violation is expanded in full and the search goes on;
 //! * budget checks run at round boundaries only, so `OutOfBudget`
 //!   verdicts trip at the same round for every worker count (the
 //!   optional wall-clock limit is the one deliberately nondeterministic
@@ -136,6 +155,7 @@ use parking_lot::{Mutex, RwLock};
 use pte_hybrid::Root;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -375,9 +395,13 @@ pub struct Limits {
     /// clocks (shrinking every DBM) and free per-location dead clocks
     /// during exploration, exactly as the monitor already does for its
     /// observer clocks. On by default; the verdict and the
-    /// counter-example text are identical either way — a violation
-    /// found in the reduced space is re-derived on the unreduced
-    /// network, so witnesses never mention a remapped clock.
+    /// counter-example text are identical either way. The reduced
+    /// search only decides a falsification's verdict, stopping at its
+    /// first violation; the witness is re-derived on the unreduced
+    /// network, which runs the rounds before the violating one in full
+    /// and that round least path first (see the module's
+    /// "Determinism" section), so witnesses never mention a remapped
+    /// clock.
     pub reduce_clocks: bool,
     /// Ignored; nothing reads it. It once switched a device-permutation
     /// symmetry quotient, which could never engage on a PTE check: the
@@ -627,6 +651,43 @@ struct RecvEdge {
     lossy: bool,
 }
 
+/// What a search is for. Private: only [`check_analyzed`] asks for
+/// anything but [`Goal::Witness`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Goal {
+    /// The verdict and, for `Unsafe`, the least counter-example of the
+    /// earliest violating round.
+    Witness,
+    /// The verdict only: once any worker meets a violation, no worker
+    /// claims another frontier entry, nothing is rendered, and the
+    /// search reports the violating round ([`Outcome::Violated`]).
+    Verdict,
+    /// [`Goal::Witness`], told that BFS round `r` holds the first
+    /// violation. Earlier rounds run as usual; round `r` runs on the
+    /// calling thread, least path first ([`Engine::expand_least_paths`]).
+    /// A wrong hint costs time, never a different answer.
+    WitnessAt(usize),
+}
+
+/// What a search ended with.
+enum Outcome {
+    /// A verdict; never `Unsafe` under [`Goal::Verdict`].
+    Done(SymbolicVerdict),
+    /// A [`Goal::Verdict`] search met a violation in this BFS round (0 is
+    /// the seed round).
+    Violated(usize),
+}
+
+impl Outcome {
+    /// The verdict of a search that renders its witness.
+    fn verdict(self) -> SymbolicVerdict {
+        match self {
+            Outcome::Done(v) => v,
+            Outcome::Violated(_) => unreachable!("only a verdict-only search skips its witness"),
+        }
+    }
+}
+
 struct Engine<'s> {
     /// The lowered network, **borrowed** — the monitor's observer
     /// clocks live in the DBM dimensions above
@@ -657,6 +718,7 @@ struct Engine<'s> {
     /// `None` when reduction is off or the masks are trivial.
     masks: Option<&'s ActivityMasks>,
     shards: Vec<Mutex<Shard>>,
+    goal: Goal,
 }
 
 /// Runs the symbolic PTE check of `spec` over `net` — the PTE-specific
@@ -708,17 +770,15 @@ pub(crate) fn check_analyzed(
     let masks = (analysis.activity.clocks != 0 && !analysis.activity.is_trivial())
         .then_some(&analysis.activity);
 
-    match check_monitored_with(rnet, &monitor, limits, masks)? {
-        // Rerun-on-violation: the reduced search is the fast path for
-        // proofs; a falsification is re-derived on the unreduced
-        // network, so the counter-example text (clock names, zone
-        // constraints, step list) is byte-identical to a run with the
-        // analysis off: the engine's determinism guarantee extended
-        // across the knob. Freeing dead clocks never removes a
-        // reachable violation, so the rerun finds a violation too; if
-        // it instead trips a budget first, that inconclusive verdict
-        // is returned as-is — conservative, never wrong.
-        SymbolicVerdict::Unsafe(_) => {
+    // The reduced search is the fast path for proofs. For a
+    // falsification it only decides the verdict: its workers stop at
+    // the first violation and render nothing, because the witness is
+    // re-derived on the unreduced network, so the counter-example text
+    // (clock names, zone constraints, step list) is byte-identical to a
+    // run with the analysis off: the engine's determinism guarantee
+    // extended across the knob.
+    match check_monitored_with(rnet, &monitor, limits, masks, Goal::Verdict)? {
+        Outcome::Violated(round) => {
             let mut legacy = limits.clone();
             legacy.reduce_clocks = false;
             // The rerun exists only to render the counter-example on
@@ -726,16 +786,29 @@ pub(crate) fn check_analyzed(
             // artifact (captured on the *reduced* network) nor emit one.
             legacy.warm_start = None;
             legacy.capture = None;
-            check(net, spec, &legacy)
+            // Freeing dead clocks never removes a reachable violation,
+            // so the rerun finds one too, and the reduced search's
+            // round is its hint: the rerun takes that round's entries
+            // least path first and stops after the first group of equal
+            // paths that violates. If the hint is wrong, the rerun expands the whole round
+            // and goes on as an unhinted search would; if it trips a
+            // budget first, that inconclusive verdict is returned as-is
+            // — conservative, never wrong.
+            let monitor = PteMonitor::new(net, spec)?;
+            check_monitored_with(net, &monitor, &legacy, None, Goal::WitnessAt(round))
+                .map(Outcome::verdict)
         }
-        SymbolicVerdict::Safe(mut stats) => {
+        Outcome::Done(SymbolicVerdict::Safe(mut stats)) => {
             stats.dbm_clocks_unreduced = net.clock_count() + monitor.clock_names().len();
             Ok(SymbolicVerdict::Safe(stats))
         }
-        SymbolicVerdict::OutOfBudget { mut stats, tripped } => {
+        Outcome::Done(SymbolicVerdict::OutOfBudget { mut stats, tripped }) => {
             stats.dbm_clocks_unreduced = net.clock_count() + monitor.clock_names().len();
             Ok(SymbolicVerdict::OutOfBudget { stats, tripped })
         }
+        // Unreachable: a verdict-only search reports a violation as
+        // `Violated`.
+        Outcome::Done(v @ SymbolicVerdict::Unsafe(_)) => Ok(v),
     }
 }
 
@@ -754,19 +827,21 @@ pub fn check_monitored(
     monitor: &dyn Monitor,
     limits: &Limits,
 ) -> Result<SymbolicVerdict, String> {
-    check_monitored_with(net, monitor, limits, None)
+    check_monitored_with(net, monitor, limits, None, Goal::Witness).map(Outcome::verdict)
 }
 
 /// [`check_monitored`] plus optional per-location dead-clock masks over
 /// `net`'s clock space (what [`check`] computes from the static
 /// analysis — callers handing masks for a *different* network would
-/// free live clocks and lose soundness, hence not public).
+/// free live clocks and lose soundness, hence not public) and the
+/// search's [`Goal`].
 fn check_monitored_with(
     net: &TaNetwork,
     monitor: &dyn Monitor,
     limits: &Limits,
     masks: Option<&ActivityMasks>,
-) -> Result<SymbolicVerdict, String> {
+    goal: Goal,
+) -> Result<Outcome, String> {
     let base = net.clock_count();
     let nclocks = base + monitor.clock_names().len();
 
@@ -810,7 +885,7 @@ fn check_monitored_with(
                 // original proof (the weakening order is transitive).
                 *sink.lock() = Some((**art).clone());
             }
-            return Ok(SymbolicVerdict::Safe(stats));
+            return Ok(Outcome::Done(SymbolicVerdict::Safe(stats)));
         }
     }
 
@@ -890,14 +965,15 @@ fn check_monitored_with(
         shards: (0..SHARD_COUNT)
             .map(|_| Mutex::new(Shard::default()))
             .collect(),
+        goal,
     };
-    let verdict = engine.run(limits);
-    if let (Some(sink), SymbolicVerdict::Safe(_)) = (&limits.capture, &verdict) {
+    let outcome = engine.run(limits);
+    if let (Some(sink), Outcome::Done(SymbolicVerdict::Safe(_))) = (&limits.capture, &outcome) {
         if let Some(profile) = monitor.warm_profile() {
             *sink.lock() = Some(capture_artifact(&engine, limits, masks, profile));
         }
     }
-    Ok(verdict)
+    Ok(outcome)
 }
 
 /// Validates `art` against the model about to be searched and, when
@@ -1077,7 +1153,7 @@ impl RoundSync {
 }
 
 impl Engine<'_> {
-    fn run(&self, limits: &Limits) -> SymbolicVerdict {
+    fn run(&self, limits: &Limits) -> Outcome {
         let workers = limits.effective_workers().max(1);
         let sync = RoundSync::new();
         if workers == 1 {
@@ -1117,7 +1193,7 @@ impl Engine<'_> {
 
     /// The coordinator: seeds the search, then alternates expand/admit
     /// phases (participating in each) until a verdict is reached.
-    fn drive(&self, sync: &RoundSync, limits: &Limits, helpers: usize) -> SymbolicVerdict {
+    fn drive(&self, sync: &RoundSync, limits: &Limits, helpers: usize) -> Outcome {
         let started = Instant::now();
         let mut stats = SearchStats {
             // `check` overwrites the unreduced count when it ran the
@@ -1153,7 +1229,7 @@ impl Engine<'_> {
         stats.transitions += local.transitions;
         stats.subsumed += local.subsumed;
         if !violations.is_empty() {
-            return self.least_counter_example(violations);
+            return self.violated(violations, 0);
         }
         let mut frontier = self.admit_phase(sync, helpers, &mut stats, &mut pool);
 
@@ -1179,37 +1255,41 @@ impl Engine<'_> {
             {
                 stats.frontier = frontier.len();
                 self.fold_passed_bytes(&mut stats);
-                return SymbolicVerdict::OutOfBudget {
+                return Outcome::Done(SymbolicVerdict::OutOfBudget {
                     stats,
                     tripped: TrippedLimit::Cancelled,
-                };
+                });
             }
             if frontier.is_empty() {
                 stats.frontier = 0;
                 self.fold_passed_bytes(&mut stats);
-                return SymbolicVerdict::Safe(stats);
+                return Outcome::Done(SymbolicVerdict::Safe(stats));
             }
             if stats.states > limits.max_states {
                 stats.frontier = frontier.len();
                 self.fold_passed_bytes(&mut stats);
-                return SymbolicVerdict::OutOfBudget {
+                return Outcome::Done(SymbolicVerdict::OutOfBudget {
                     stats,
                     tripped: TrippedLimit::MaxStates(limits.max_states),
-                };
+                });
             }
             if let Some(budget) = limits.max_wall {
                 if started.elapsed() > budget {
                     stats.frontier = frontier.len();
                     self.fold_passed_bytes(&mut stats);
-                    return SymbolicVerdict::OutOfBudget {
+                    return Outcome::Done(SymbolicVerdict::OutOfBudget {
                         stats,
                         tripped: TrippedLimit::WallClock(budget),
-                    };
+                    });
                 }
             }
-            let violations = self.expand_phase(sync, frontier, helpers, &mut stats, &mut pool);
+            let violations = if self.goal == Goal::WitnessAt(round) {
+                self.expand_least_paths(sync, frontier, &mut stats, &mut pool)
+            } else {
+                self.expand_phase(sync, frontier, helpers, &mut stats, &mut pool)
+            };
             if !violations.is_empty() {
-                return self.least_counter_example(violations);
+                return self.violated(violations, round);
             }
             frontier = self.admit_phase(sync, helpers, &mut stats, &mut pool);
         }
@@ -1243,7 +1323,7 @@ impl Engine<'_> {
                 TASK_EXPAND => {
                     let (local, violations) = {
                         let frontier = sync.frontier.read();
-                        self.expand_work(&frontier, &sync.cursor, pool)
+                        self.expand_work(&frontier, sync, pool)
                     };
                     sync.transitions
                         .fetch_add(local.transitions, Ordering::Relaxed);
@@ -1326,7 +1406,7 @@ impl Engine<'_> {
         self.start_phase(sync, TASK_EXPAND);
         let (local, mut violations) = {
             let frontier = sync.frontier.read();
-            self.expand_work(&frontier, &sync.cursor, pool)
+            self.expand_work(&frontier, sync, pool)
         };
         self.wait_helpers(sync, helpers);
         stats.transitions += local.transitions + sync.transitions.swap(0, Ordering::Relaxed);
@@ -1337,20 +1417,27 @@ impl Engine<'_> {
 
     /// One worker's share of an expand phase: claim frontier entries
     /// from the shared cursor, expand them, flush staged candidates to
-    /// their shards (one lock per shard per phase).
+    /// their shards (one lock per shard per call). Under
+    /// [`Goal::Verdict`] one violation decides the search, so a worker
+    /// that meets one moves the cursor past the last entry and no
+    /// worker claims another.
     fn expand_work(
         &self,
         frontier: &[FrontierEntry],
-        cursor: &AtomicUsize,
+        sync: &RoundSync,
         pool: &mut DbmPool,
     ) -> (LocalStats, Vec<(Option<NodeId>, Violation)>) {
+        let verdict_only = self.goal == Goal::Verdict;
         let mut local = LocalStats::default();
         let mut violations = Vec::new();
         let mut staged: Vec<Vec<Candidate>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
         loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let i = sync.cursor.fetch_add(1, Ordering::Relaxed);
             let Some(entry) = frontier.get(i) else { break };
             self.expand(entry, &mut staged, &mut violations, &mut local, pool);
+            if verdict_only && !violations.is_empty() {
+                sync.cursor.store(frontier.len(), Ordering::Relaxed);
+            }
         }
         for (s, mut batch) in staged.into_iter().enumerate() {
             if !batch.is_empty() {
@@ -1358,6 +1445,76 @@ impl Engine<'_> {
             }
         }
         (local, violations)
+    }
+
+    /// The hinted round of a [`Goal::WitnessAt`] search, on the calling
+    /// thread. Every entry of a round sits at the same depth, so its
+    /// rendered path (the steps from the seed to it) has the same
+    /// length, and a violation found under a greater path has a greater
+    /// step list. The entries are therefore sorted by path and expanded
+    /// in groups of equal paths, least path first, and the round stops
+    /// after the first group that yields a violation: the least
+    /// counter-example of that group is the least of the whole round, at
+    /// every worker count. Expanding an entry reads only earlier rounds'
+    /// zones, so each entry yields the same violations it would in a full
+    /// round. Each group is one [`Engine::expand_work`] call while the
+    /// helpers stay parked. If no group violates, every entry has been
+    /// expanded and staged, and the search goes on as usual.
+    fn expand_least_paths(
+        &self,
+        sync: &RoundSync,
+        frontier: Vec<FrontierEntry>,
+        stats: &mut SearchStats,
+        pool: &mut DbmPool,
+    ) -> Vec<(Option<NodeId>, Violation)> {
+        let mut memo = HashMap::new();
+        let mut by_path: Vec<(Rc<[String]>, FrontierEntry)> = frontier
+            .into_iter()
+            .map(|e| (self.path(e.id, &mut memo), e))
+            .collect();
+        by_path.sort_by(|a, b| a.0.cmp(&b.0));
+        let (paths, frontier): (Vec<_>, Vec<_>) = by_path.into_iter().unzip();
+        let mut start = 0;
+        for group in paths.chunk_by(|a, b| a == b) {
+            let end = start + group.len();
+            sync.cursor.store(0, Ordering::Relaxed);
+            let (local, violations) = self.expand_work(&frontier[start..end], sync, pool);
+            stats.transitions += local.transitions;
+            stats.subsumed += local.subsumed;
+            if !violations.is_empty() {
+                return violations;
+            }
+            start = end;
+        }
+        for e in frontier {
+            pool.recycle(e.zone);
+        }
+        Vec::new()
+    }
+
+    /// The rendered steps from the seed to node `id`: the steps
+    /// [`Engine::render_ce`] lists before a violation's last step, and
+    /// the order of a hinted round. Memoised per node in `memo`, so
+    /// shared ancestors render once.
+    fn path(&self, id: NodeId, memo: &mut HashMap<NodeId, Rc<[String]>>) -> Rc<[String]> {
+        let mut unrendered = Vec::new();
+        let mut cursor = Some(id);
+        let mut path: Rc<[String]> = Rc::new([]);
+        while let Some(n) = cursor {
+            if let Some(known) = memo.get(&n) {
+                path = known.clone();
+                break;
+            }
+            let shard = self.shards[n.shard as usize].lock();
+            let node = &shard.nodes[n.idx as usize];
+            unrendered.push((n, self.render_step(&node.acts)));
+            cursor = node.parent;
+        }
+        for (n, step) in unrendered.into_iter().rev() {
+            path = path.iter().cloned().chain(std::iter::once(step)).collect();
+            memo.insert(n, path.clone());
+        }
+        path
     }
 
     /// Phase 2: drains every shard's pending list in content-defined
@@ -1461,9 +1618,15 @@ impl Engine<'_> {
 
     /// Expands one settled state: fires every spontaneous/external edge,
     /// resolves the emission cascade, cooks the settled successors into
-    /// shard-staged candidates, and records violations. A violation in
-    /// one edge branch never hides violations or successors of sibling
-    /// branches (determinism requires the full per-node violation set).
+    /// shard-staged candidates, and records violations. A violation on
+    /// one edge never hides another edge's violations or successors.
+    /// Within one edge's cascade it does: the first violation returns
+    /// through `?` from `deliver_fates` or `resolve`, so the fate
+    /// branches after it are never tried and the successors settled
+    /// before it are not cooked. The branch order is fixed, so what an
+    /// entry yields depends on the entry alone, and "least" in
+    /// [`Engine::least_counter_example`] means least among the
+    /// violations a round collects.
     fn expand(
         &self,
         entry: &FrontierEntry,
@@ -1883,7 +2046,19 @@ impl Engine<'_> {
         }))
     }
 
-    /// Renders every violation of the round and returns the
+    /// The outcome of a round that met `violations`: the round itself
+    /// under [`Goal::Verdict`], the least counter-example otherwise.
+    fn violated(&self, violations: Vec<(Option<NodeId>, Violation)>, round: usize) -> Outcome {
+        match self.goal {
+            Goal::Verdict => Outcome::Violated(round),
+            Goal::Witness | Goal::WitnessAt(_) => {
+                Outcome::Done(self.least_counter_example(violations))
+            }
+        }
+    }
+
+    /// Renders every violation a round collected (in a hinted round,
+    /// those of its least violating group of paths) and returns the
     /// lexicographically least counter-example (by step list, then
     /// violation rank, then zone text) — a content-defined choice, so
     /// the witness is identical for every worker count.
@@ -1891,9 +2066,10 @@ impl Engine<'_> {
         &self,
         violations: Vec<(Option<NodeId>, Violation)>,
     ) -> SymbolicVerdict {
+        let mut memo = HashMap::new();
         let least = violations
             .into_iter()
-            .map(|(parent, v)| self.render_ce(parent, v))
+            .map(|(parent, v)| self.render_ce(parent, v, &mut memo))
             .min_by(|a, b| (&a.steps, a.rank, &a.zone).cmp(&(&b.steps, b.rank, &b.zone)))
             .expect("at least one violation");
         SymbolicVerdict::Unsafe(Box::new(least))
@@ -1955,16 +2131,13 @@ impl Engine<'_> {
             .join("; ")
     }
 
-    fn render_ce(&self, parent: Option<NodeId>, v: Violation) -> SymbolicCounterExample {
-        let mut steps = Vec::new();
-        let mut cursor = parent;
-        while let Some(id) = cursor {
-            let shard = self.shards[id.shard as usize].lock();
-            let node = &shard.nodes[id.idx as usize];
-            steps.push(self.render_step(&node.acts));
-            cursor = node.parent;
-        }
-        steps.reverse();
+    fn render_ce(
+        &self,
+        parent: Option<NodeId>,
+        v: Violation,
+        memo: &mut HashMap<NodeId, Rc<[String]>>,
+    ) -> SymbolicCounterExample {
+        let mut steps = parent.map_or_else(Vec::new, |id| self.path(id, memo).to_vec());
         // The monitor's trace note (e.g. "dwell risky beyond the Rule-1
         // bound") joins the final step like any other action.
         let mut last = self.render_step(&v.acts);
@@ -1985,6 +2158,238 @@ impl Engine<'_> {
             rank,
             steps,
             zone: v.zone.render(&names),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::LoweredPattern;
+
+    /// Registry arms small enough for a debug-build unit test.
+    fn arm(name: &str, leased: bool) -> LoweredPattern {
+        let s = pte_tracheotomy::registry::by_name(name).expect("registry scenario");
+        LoweredPattern::new(&s.config, leased).expect("registry arm lowers")
+    }
+
+    /// One search of `p` toward `goal`: on the reduced network with its
+    /// activity masks, set up as [`check_analyzed`] does, or on the
+    /// unreduced network. Returns the outcome and every round-boundary
+    /// progress snapshot as `(round, settled, frontier)`.
+    fn search(
+        p: &LoweredPattern,
+        reduce: bool,
+        workers: usize,
+        goal: Goal,
+    ) -> (Outcome, Vec<(usize, usize, usize)>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let limits = Limits {
+            max_workers: workers,
+            progress: Some(Arc::new(move |p: &Progress| {
+                sink.lock().push((p.round, p.settled, p.frontier));
+            })),
+            ..Limits::default()
+        };
+        let analysis = p.analysis();
+        let reduced;
+        let (net, masks) = if !reduce {
+            (&p.net, None)
+        } else {
+            let masks = (analysis.activity.clocks != 0 && !analysis.activity.is_trivial())
+                .then_some(&analysis.activity);
+            if analysis.reduction.is_identity() {
+                (&p.net, masks)
+            } else {
+                reduced = analysis.reduction.apply(&p.net);
+                (&reduced, masks)
+            }
+        };
+        let monitor = PteMonitor::new(net, &p.spec).expect("registry spec");
+        let outcome =
+            check_monitored_with(net, &monitor, &limits, masks, goal).expect("registry arm checks");
+        let seen = seen.lock().clone();
+        (outcome, seen)
+    }
+
+    /// A verdict as comparable text: the witness of an `Unsafe`, the
+    /// full statistics otherwise.
+    fn rendered(o: Outcome) -> String {
+        match o.verdict() {
+            SymbolicVerdict::Unsafe(ce) => format!("{ce}"),
+            SymbolicVerdict::Safe(stats) => format!("safe {stats:?}"),
+            SymbolicVerdict::OutOfBudget { stats, tripped } => format!("{tripped}: {stats:?}"),
+        }
+    }
+
+    /// The round a `Goal::Verdict` search stopped in.
+    fn violated_round(o: &Outcome) -> usize {
+        match o {
+            Outcome::Violated(round) => *round,
+            Outcome::Done(v) => panic!("expected a violation, got {v}"),
+        }
+    }
+
+    /// A hint one round early or late leaves the answer alone: the same
+    /// witness and the same round-by-round settled and frontier counts
+    /// as the unhinted search, and the right hint renders the same
+    /// witness too.
+    #[test]
+    fn a_wrong_hint_changes_nothing_on_a_falsification() {
+        for name in ["case-study", "chain-3"] {
+            let p = arm(name, false);
+            for workers in [1usize, 2] {
+                let r = violated_round(&search(&p, false, workers, Goal::Verdict).0);
+                assert!(r >= 2, "{name}: violation in round {r}");
+                let (plain, plain_rounds) = search(&p, false, workers, Goal::Witness);
+                let plain = rendered(plain);
+                assert!(plain.starts_with("symbolic safety violation"), "{plain}");
+                for hint in [r - 1, r + 1] {
+                    let (hinted, rounds) = search(&p, false, workers, Goal::WitnessAt(hint));
+                    assert_eq!(
+                        rendered(hinted),
+                        plain,
+                        "{name}, hint {hint}, {workers} workers"
+                    );
+                    assert_eq!(
+                        rounds, plain_rounds,
+                        "{name}, hint {hint}, {workers} workers"
+                    );
+                }
+                let (hinted, rounds) = search(&p, false, workers, Goal::WitnessAt(r));
+                assert_eq!(
+                    rendered(hinted),
+                    plain,
+                    "{name}, right hint, {workers} workers"
+                );
+                assert_eq!(
+                    rounds, plain_rounds,
+                    "{name}, right hint, {workers} workers"
+                );
+            }
+        }
+    }
+
+    /// On a `Safe` model every hinted round is expanded in full, so any
+    /// hint, past the last round included, yields the same statistics.
+    /// The reduced network keeps the test fast (368 states, not 3 494);
+    /// the hinted round does not depend on the network.
+    #[test]
+    fn any_hint_on_a_safe_model_changes_nothing() {
+        let p = arm("case-study", true);
+        for workers in [1usize, 2] {
+            let (plain, plain_rounds) = search(&p, true, workers, Goal::Witness);
+            let plain = rendered(plain);
+            assert!(plain.starts_with("safe"), "{plain}");
+            for hint in 0..=plain_rounds.len() + 1 {
+                let (hinted, rounds) = search(&p, true, workers, Goal::WitnessAt(hint));
+                assert_eq!(rendered(hinted), plain, "hint {hint}, {workers} workers");
+                assert_eq!(rounds, plain_rounds, "hint {hint}, {workers} workers");
+            }
+        }
+    }
+
+    /// `m: Init -> names[i] -> Bad` for i = 0, 1, with the second hop of
+    /// branch `i` entering location `bad[i]` (3 and 4 are both named
+    /// `Bad`): every violation sits in BFS round 2.
+    fn fan(names: [&str; 2], bad: [usize; 2]) -> TaNetwork {
+        use crate::ta::{TaAutomaton, TaEdge, TaLocation};
+        let loc = |name: &str| TaLocation {
+            name: name.to_string(),
+            invariant: Vec::new(),
+            frozen: false,
+            risky: false,
+        };
+        let edge = |src: usize, dst: usize| TaEdge {
+            src,
+            dst,
+            guard: Vec::new(),
+            resets: Vec::new(),
+            sync: Sync::None,
+            emits: Vec::new(),
+            urgent: false,
+        };
+        TaNetwork {
+            clocks: vec!["m.x".to_string()],
+            automata: vec![TaAutomaton {
+                name: "m".to_string(),
+                locations: vec![
+                    loc("Init"),
+                    loc(names[0]),
+                    loc(names[1]),
+                    loc("Bad"),
+                    loc("Bad"),
+                ],
+                edges: vec![edge(0, 1), edge(0, 2), edge(1, bad[0]), edge(2, bad[1])],
+                initial: 0,
+            }],
+        }
+    }
+
+    /// The hinted round must pick the least violation, not the first one
+    /// in frontier order, which follows the shard hash of each entry's
+    /// locations. Each pair of mirrored networks below puts the least
+    /// violation first in frontier order in one and last in the other.
+    /// With distinct paths (`A` < `B`) the least path decides; with
+    /// equal ones (`L`, `L`) the whole group is expanded and the lower
+    /// violation rank (the first `Bad`) decides.
+    #[test]
+    fn the_hinted_round_reports_the_least_violation_not_the_first() {
+        let cases = [
+            (["A", "B"], [3, 3]),
+            (["B", "A"], [3, 3]),
+            (["L", "L"], [3, 4]),
+            (["L", "L"], [4, 3]),
+        ];
+        for (names, bad) in cases {
+            let net = fan(names, bad);
+            let monitor = crate::LocationReachMonitor::new(&net, &[("m", "Bad")]).unwrap();
+            for workers in [1usize, 2] {
+                let limits = Limits {
+                    max_workers: workers,
+                    ..Limits::default()
+                };
+                let run = |goal| check_monitored_with(&net, &monitor, &limits, None, goal).unwrap();
+                let round = violated_round(&run(Goal::Verdict));
+                assert_eq!(round, 2);
+                let witness = |goal| match run(goal).verdict() {
+                    SymbolicVerdict::Unsafe(ce) => *ce,
+                    v => panic!("{names:?}: expected a violation, got {v}"),
+                };
+                let (plain, hinted) = (witness(Goal::Witness), witness(Goal::WitnessAt(round)));
+                assert_eq!(
+                    format!("{hinted:?}"),
+                    format!("{plain:?}"),
+                    "{names:?} {bad:?}"
+                );
+                assert_eq!(hinted.rank, (0, 0), "{names:?} {bad:?}");
+                let via = if names[0] == names[1] { "L" } else { "A" };
+                assert_eq!(hinted.steps[1], format!("m: Init -> {via}"));
+            }
+        }
+    }
+
+    /// The verdict-only search stops in the round whose violations the
+    /// witness search reports, after the same rounds, at every worker
+    /// count: the rounds before it are expanded in full by both.
+    #[test]
+    fn the_verdict_only_search_stops_in_the_witness_round() {
+        for name in ["case-study", "stress-lossy", "chain-2", "chain-4"] {
+            let p = arm(name, false);
+            for workers in [1usize, 2, 4, 8] {
+                let (verdict, verdict_rounds) = search(&p, true, workers, Goal::Verdict);
+                let (witness, witness_rounds) = search(&p, true, workers, Goal::Witness);
+                assert!(witness.verdict().is_unsafe(), "{name}");
+                // One progress snapshot opens every round after the
+                // seed, so the violating round is the snapshot count.
+                assert_eq!(
+                    violated_round(&verdict),
+                    witness_rounds.len(),
+                    "{name}, {workers} workers"
+                );
+                assert_eq!(verdict_rounds, witness_rounds, "{name}, {workers} workers");
+            }
         }
     }
 }

@@ -348,3 +348,43 @@ fn chain_agreement_pinned() {
         );
     }
 }
+
+/// Every registry lease-stripped arm with N ≤ 8 falsifies through the
+/// verdict-only reduced search and the least-path-first rerun, and
+/// `check` renders exactly the text of the full unhinted search on the
+/// unreduced network, at 1, 2, 4 and 8 workers.
+#[test]
+fn stripped_registry_witnesses_match_the_unhinted_search() {
+    let arms: Vec<_> = pte_tracheotomy::registry::registry()
+        .into_iter()
+        .filter(|s| s.n <= 8)
+        .collect();
+    assert_eq!(
+        arms.len(),
+        10,
+        "case-study, chain-2..8, factory-cell, stress-lossy"
+    );
+    for s in arms {
+        let pattern = pte_zones::LoweredPattern::new(&s.config, false).expect("arm lowers");
+        for workers in [1usize, 2, 4, 8] {
+            let limits = |reduce_clocks: bool| Limits {
+                max_states: s.recommended_budget,
+                max_workers: workers,
+                reduce_clocks,
+                ..Limits::default()
+            };
+            let checked = pattern.check(&limits(true)).expect("arm checks");
+            let unhinted = pattern.check(&limits(false)).expect("arm checks");
+            let (SymbolicVerdict::Unsafe(a), SymbolicVerdict::Unsafe(b)) = (&checked, &unhinted)
+            else {
+                panic!("{} stripped must falsify: {checked} / {unhinted}", s.name);
+            };
+            assert_eq!(
+                format!("{a}"),
+                format!("{b}"),
+                "{} witness at {workers} workers",
+                s.name
+            );
+        }
+    }
+}
