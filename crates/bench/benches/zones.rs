@@ -396,14 +396,16 @@ fn compositional_rows() -> (
                     out.stats.abstract_states,
                     out.stats.pair_networks,
                     out.stats.refine_pairs,
+                    out.stutters,
                 )
             })
             .collect();
-        let (abstract_states, pair_networks, refine_pairs) =
+        let (abstract_states, pair_networks, refine_pairs, stutters) =
             same_counters(&format!("compositional chain-{n}"), counters);
         println!(
             "bench: compositional/chain-{n}                             \
-             {abstract_states} abstract states, {pair_networks} pair nets, {:.0} ms",
+             {abstract_states} abstract states, {pair_networks} pair nets, \
+             {stutters} stutters, {:.0} ms",
             secs * 1e3,
         );
         if n == 12 {
@@ -453,6 +455,7 @@ fn compositional_rows() -> (
             abstract_states,
             pair_networks,
             refine_pairs,
+            stutters,
             secs,
         });
     }

@@ -95,6 +95,10 @@ pub struct CompositionalRow {
     pub pair_networks: usize,
     /// Admitted refinement state pairs summed over all contracts.
     pub refine_pairs: usize,
+    /// Silent self-loop firings the pair searches counted without
+    /// expanding them (`CompositionalOutcome::stutters`); recorded, not
+    /// gated.
+    pub stutters: usize,
     /// End-to-end wall time in seconds (refinements + pair checks).
     pub secs: f64,
 }
@@ -224,6 +228,7 @@ pub fn write_zones_bench_json(
                     ("abstract_states".into(), num_u(r.abstract_states)),
                     ("pair_networks".into(), num_u(r.pair_networks)),
                     ("refine_pairs".into(), num_u(r.refine_pairs)),
+                    ("stutters".into(), num_u(r.stutters)),
                     ("wall_ms".into(), num_f(r.secs * 1e3)),
                     (
                         "states_per_sec".into(),

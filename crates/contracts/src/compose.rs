@@ -176,6 +176,10 @@ pub struct CompositionalOutcome {
     /// Passed-list entries those transfers admitted — the settled states
     /// the transferred pairs would otherwise have explored.
     pub warm_seeded: usize,
+    /// Silent self-loop firings the cold pair searches counted without
+    /// expanding them ([`pte_zones::SearchStats::stutters`]), summed.
+    /// Like the two fields above, it is never serialized.
+    pub stutters: usize,
 }
 
 impl CompositionalOutcome {
@@ -188,6 +192,7 @@ impl CompositionalOutcome {
             stats,
             pairs_transferred: 0,
             warm_seeded: 0,
+            stutters: 0,
         }
     }
 }
@@ -547,7 +552,7 @@ pub fn check_compositional_lowered(
     // Stage 2: one abstract check per safeguard pair, each warm-started
     // from its stored proof when one transfers.
     let full_spec = ObserverSpec::from_spec(&cfg.pte_spec());
-    let (mut pairs_transferred, mut warm_seeded) = (0, 0);
+    let (mut pairs_transferred, mut warm_seeded, mut stutters) = (0, 0, 0);
     for k in 0..cfg.n - 1 {
         let pair_net = build_pair_network(net, cfg, k, profile)?;
         let spec = pair_spec(&full_spec, k);
@@ -571,6 +576,7 @@ pub fn check_compositional_lowered(
         if let Some(s) = verdict.stats() {
             stats.abstract_states += s.states;
             stats.abstract_transitions += s.transitions;
+            stutters += s.stutters;
         }
         if seeded > 0 {
             pairs_transferred += 1;
@@ -605,6 +611,7 @@ pub fn check_compositional_lowered(
         return Ok(CompositionalOutcome {
             pairs_transferred,
             warm_seeded,
+            stutters,
             ..CompositionalOutcome::fallback(reason, None, stats)
         });
     }
@@ -613,5 +620,6 @@ pub fn check_compositional_lowered(
         stats,
         pairs_transferred,
         warm_seeded,
+        stutters,
     })
 }

@@ -133,6 +133,19 @@ pub trait Monitor: Sync {
     /// has tightened `zone` but before resets and the location move;
     /// the monitor may update its `state`, reset/constrain its own
     /// clocks in `zone`, and report a violation.
+    ///
+    /// **Self-loop contract.** On a self-loop (`ctx.src == ctx.dst`)
+    /// fired from an admitted state, one whose location vector, `state`
+    /// and zone passed [`Monitor::check_settled`], the hook must leave
+    /// `state` and `zone` unchanged and report no violation. The engine
+    /// relies on it: a silent self-loop (no guard, no resets, no
+    /// receiver for its emissions) that the firing state's own passed
+    /// zone covers is counted without calling this hook (see the
+    /// "Hot-path engineering" section of [`crate::reach`]). Both
+    /// monitors here keep it: [`PteMonitor`] observes only risky-status
+    /// changes, which a self-loop cannot make, and
+    /// [`LocationReachMonitor`] flags entering a target location, which
+    /// an admitted state does not occupy.
     fn on_transition(
         &self,
         ctx: &TransitionCtx<'_>,

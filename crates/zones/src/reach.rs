@@ -90,8 +90,39 @@
 //!
 //! ## Hot-path engineering
 //!
-//! Three layers keep the per-state cost low:
+//! Five layers keep the per-state cost low:
 //!
+//! * **Stutters are counted, not built** — most firings in a
+//!   compositional pair network, and one per settled state of every
+//!   leased registry arm (the supervisor's environment-approval
+//!   self-loop),
+//!   are *silent*: a self-loop with no guard and no resets whose
+//!   emissions no other automaton can receive in its current location
+//!   (`Engine::silent`). Expanding one from entry `E = (l, m, Z)`
+//!   re-derives `E`'s own state: the monitor ignores a self-loop from
+//!   an admitted state (the self-loop contract of
+//!   [`Monitor::on_transition`]), every emission is lost with no fate to
+//!   branch on, and `resolve` settles `Z` within the invariants, plus
+//!   urgent escapes from any sub-zone beyond the invariant of a location
+//!   that has an urgent edge. When there is no such sub-zone and cook's
+//!   pre-probe steps (`Engine::delay_and_free`) map that settled zone
+//!   into `Z` (`Engine::stutter_cover`, computed at most once per
+//!   entry), the expansion would yield exactly one transition and, if
+//!   `Z` meets the invariants, one successor that the subsumption probe
+//!   drops against `E`'s own node, settled in an earlier round, and no
+//!   violation. So the engine counts exactly that (a transition, a
+//!   subsumed successor and a [`SearchStats::stutters`]) and builds
+//!   nothing. Debug builds still expand every counted firing and assert
+//!   the same tallies. Extrapolation can widen `Z` past an invariant, so
+//!   the escape check is not vacuous. Stutters deeper in a cascade are
+//!   still built.
+//! * **A lean emission cascade** — receive tables are sorted by root,
+//!   so one emission collects its receivers as slices in one `Vec`;
+//!   the drop fate, always a receiver's last branch, takes the work
+//!   item instead of a clone; and a work item with no urgent escape to
+//!   fire settles in place within the invariants, while the escape
+//!   check reads only locations that have an urgent edge. Branch order,
+//!   and hence every settled set and witness, is unchanged.
 //! * **Closure that only redoes what changed** — no per-state step
 //!   runs a full O(n³) Floyd–Warshall; each re-closes just the entries
 //!   its operation can affect, and each yields the unique canonical
@@ -242,6 +273,13 @@ pub struct SearchStats {
     pub transitions: usize,
     /// Successor states subsumed by an already-passed zone.
     pub subsumed: usize,
+    /// Stutters: firings of a silent self-loop that the entry's own
+    /// passed zone covers, counted without building the successor (see
+    /// the module's "Hot-path engineering" section). Each is also one
+    /// of [`SearchStats::transitions`] and, when the entry's zone meets
+    /// the location invariants, one of [`SearchStats::subsumed`]: the
+    /// counts the full expansion would have made.
+    pub stutters: usize,
     /// Unexplored frontier states at the moment the search ended
     /// (always 0 for a completed search).
     pub frontier: usize,
@@ -633,6 +671,17 @@ struct LocalStats {
     transitions: usize,
     /// Successors dropped by the pre-extrapolation subsumption probe.
     subsumed: usize,
+    /// Silent self-loop firings counted without expansion.
+    stutters: usize,
+}
+
+impl LocalStats {
+    /// Adds these tallies to `stats`.
+    fn fold_into(&self, stats: &mut SearchStats) {
+        stats.transitions += self.transitions;
+        stats.subsumed += self.subsumed;
+        stats.stutters += self.stutters;
+    }
 }
 
 /// Maximum zero-time cascade depth (urgent chains + deliveries) before
@@ -709,10 +758,16 @@ struct Engine<'s> {
     spont: Vec<Vec<Vec<u32>>>,
     /// `urgent[ai][loc]` — urgent escape edges leaving `loc`.
     urgent: Vec<Vec<Vec<u32>>>,
-    /// `recv[ai][loc]` — receiving edges leaving `loc`, by root id.
+    /// `recv[ai][loc]` — receiving edges leaving `loc`, sorted by root
+    /// id and, within one root, in edge order
+    /// ([`Engine::receivers_in`]).
     recv: Vec<Vec<Vec<RecvEdge>>>,
     /// `emit_ids[ai][eid]` — interned roots the edge emits.
     emit_ids: Vec<Vec<Vec<u16>>>,
+    /// `bare_loop[ai][eid]` — the edge is a self-loop with no guard and
+    /// no resets whose emissions fit one cascade: the shape of a silent
+    /// firing ([`Engine::silent`]).
+    bare_loop: Vec<Vec<bool>>,
     /// Per-location dead-clock masks over the *network's* clock space
     /// (already in `net`'s indices when `net` is a reduced network).
     /// `None` when reduction is off or the masks are trivial.
@@ -918,6 +973,7 @@ fn check_monitored_with(
     let mut urgent = Vec::with_capacity(net.automata.len());
     let mut recv = Vec::with_capacity(net.automata.len());
     let mut emit_ids = Vec::with_capacity(net.automata.len());
+    let mut bare_loop = Vec::with_capacity(net.automata.len());
     for aut in &net.automata {
         let nloc = aut.locations.len();
         let mut sp = vec![Vec::new(); nloc];
@@ -943,10 +999,26 @@ fn check_monitored_with(
             }
             em.push(e.emits.iter().map(|r| root_ids[r]).collect::<Vec<u16>>());
         }
+        // A stable sort keeps edge order within each root, the order
+        // the delivery fates branch in.
+        for table in &mut rc {
+            table.sort_by_key(|re| re.root);
+        }
         spont.push(sp);
         urgent.push(ur);
         recv.push(rc);
         emit_ids.push(em);
+        bare_loop.push(
+            aut.edges
+                .iter()
+                .map(|e| {
+                    e.src == e.dst
+                        && e.guard.is_empty()
+                        && e.resets.is_empty()
+                        && e.emits.len() <= CASCADE_DEPTH
+                })
+                .collect::<Vec<bool>>(),
+        );
     }
 
     let engine = Engine {
@@ -961,6 +1033,7 @@ fn check_monitored_with(
         urgent,
         recv,
         emit_ids,
+        bare_loop,
         masks,
         shards: (0..SHARD_COUNT)
             .map(|_| Mutex::new(Shard::default()))
@@ -1119,9 +1192,10 @@ struct RoundSync {
     violations: Mutex<Vec<(Option<NodeId>, Violation)>>,
     /// Per-shard admissions produced by helpers this round.
     admitted: Mutex<Vec<(usize, Vec<FrontierEntry>)>>,
-    /// Helper-side transition / subsumption tallies.
+    /// Helper-side transition / subsumption / stutter tallies.
     transitions: AtomicUsize,
     subsumed: AtomicUsize,
+    stutters: AtomicUsize,
     /// Set by a helper whose phase work panicked; the coordinator
     /// aborts the check instead of trusting a partial round.
     helper_panicked: std::sync::atomic::AtomicBool,
@@ -1143,6 +1217,7 @@ impl RoundSync {
             admitted: Mutex::new(Vec::new()),
             transitions: AtomicUsize::new(0),
             subsumed: AtomicUsize::new(0),
+            stutters: AtomicUsize::new(0),
             helper_panicked: std::sync::atomic::AtomicBool::new(false),
         }
     }
@@ -1226,8 +1301,7 @@ impl Engine<'_> {
                 Err(v) => violations.push((None, *v)),
             }
         }
-        stats.transitions += local.transitions;
-        stats.subsumed += local.subsumed;
+        local.fold_into(&mut stats);
         if !violations.is_empty() {
             return self.violated(violations, 0);
         }
@@ -1328,6 +1402,7 @@ impl Engine<'_> {
                     sync.transitions
                         .fetch_add(local.transitions, Ordering::Relaxed);
                     sync.subsumed.fetch_add(local.subsumed, Ordering::Relaxed);
+                    sync.stutters.fetch_add(local.stutters, Ordering::Relaxed);
                     if !violations.is_empty() {
                         sync.violations.lock().extend(violations);
                     }
@@ -1409,8 +1484,10 @@ impl Engine<'_> {
             self.expand_work(&frontier, sync, pool)
         };
         self.wait_helpers(sync, helpers);
-        stats.transitions += local.transitions + sync.transitions.swap(0, Ordering::Relaxed);
-        stats.subsumed += local.subsumed + sync.subsumed.swap(0, Ordering::Relaxed);
+        local.fold_into(stats);
+        stats.transitions += sync.transitions.swap(0, Ordering::Relaxed);
+        stats.subsumed += sync.subsumed.swap(0, Ordering::Relaxed);
+        stats.stutters += sync.stutters.swap(0, Ordering::Relaxed);
         violations.append(&mut sync.violations.lock());
         violations
     }
@@ -1479,8 +1556,7 @@ impl Engine<'_> {
             let end = start + group.len();
             sync.cursor.store(0, Ordering::Relaxed);
             let (local, violations) = self.expand_work(&frontier[start..end], sync, pool);
-            stats.transitions += local.transitions;
-            stats.subsumed += local.subsumed;
+            local.fold_into(stats);
             if !violations.is_empty() {
                 return violations;
             }
@@ -1627,6 +1703,11 @@ impl Engine<'_> {
     /// entry yields depends on the entry alone, and "least" in
     /// [`Engine::least_counter_example`] means least among the
     /// violations a round collects.
+    ///
+    /// A [silent](Engine::silent) firing that the entry's own passed
+    /// zone covers ([`Engine::stutter_cover`], computed at most once
+    /// per entry) is counted, not expanded: it would settle only its
+    /// source state again, which the subsumption probe then drops.
     fn expand(
         &self,
         entry: &FrontierEntry,
@@ -1635,10 +1716,23 @@ impl Engine<'_> {
         local: &mut LocalStats,
         pool: &mut DbmPool,
     ) {
+        let mut cover = None;
         for ai in 0..self.net.automata.len() {
             let loc = entry.locs[ai] as usize;
             for &eid in &self.spont[ai][loc] {
                 let eid = eid as usize;
+                if self.silent(&entry.locs, ai, eid) {
+                    if let Some(settles) =
+                        *cover.get_or_insert_with(|| self.stutter_cover(entry, pool))
+                    {
+                        local.transitions += 1;
+                        local.subsumed += usize::from(settles);
+                        local.stutters += 1;
+                        #[cfg(debug_assertions)]
+                        self.assert_stutter(entry, ai, eid, settles, pool);
+                        continue;
+                    }
+                }
                 // Guards are pre-tested atom-by-atom on the parent zone,
                 // skipping the Work clone entirely when any single atom
                 // is unsatisfiable (necessary condition; the joint
@@ -1680,6 +1774,99 @@ impl Engine<'_> {
                 }
             }
         }
+    }
+
+    /// Whether firing edge `eid` of automaton `ai` in the locations
+    /// `locs` is silent: the edge is a bare self-loop (no guard, no
+    /// resets) and no other automaton has a receiving edge, in its
+    /// current location, for any root the edge emits. Such a firing
+    /// changes neither the locations nor the zone, every emission is
+    /// lost without a fate to branch on, and the monitor ignores it
+    /// (the self-loop contract of [`Monitor::on_transition`]).
+    fn silent(&self, locs: &[u32], ai: usize, eid: usize) -> bool {
+        self.bare_loop[ai][eid]
+            && self.emit_ids[ai][eid].iter().all(|&root| {
+                locs.iter()
+                    .enumerate()
+                    .all(|(aj, &l)| aj == ai || self.receivers_in(aj, l, root).is_empty())
+            })
+    }
+
+    /// Whether a silent firing from `entry` may be counted instead of
+    /// expanded: `Some(settles)` when its expansion would yield exactly
+    /// one transition and no candidate, `settles` telling whether it
+    /// settles a successor, which the subsumption probe then drops;
+    /// `None` when it must be expanded.
+    ///
+    /// The expansion settles the entry's zone `Z` within the location
+    /// invariants, unless some sub-zone beyond them must take an urgent
+    /// escape ([`Engine::has_escape`]), and `cook` then applies its
+    /// pre-probe steps ([`Engine::delay_and_free`]) to it under the
+    /// entry's own key. When the result lies inside `Z`, the entry's
+    /// own node, settled in an earlier round, subsumes it.
+    fn stutter_cover(&self, entry: &FrontierEntry, pool: &mut DbmPool) -> Option<bool> {
+        if self.has_escape(&entry.locs, &entry.zone) {
+            return None;
+        }
+        let mut z = pool.clone_dbm(&entry.zone);
+        let cover = if !self.apply_invariants(&entry.locs, &mut z)
+            || !self.delay_and_free(&entry.locs, &entry.mon, &mut z)
+        {
+            Some(false)
+        } else if entry.zone.includes(&z) {
+            Some(true)
+        } else {
+            None
+        };
+        pool.recycle(z);
+        cover
+    }
+
+    /// Debug builds check every counted silent firing against its full
+    /// expansion, run with scratch tallies: no violation, exactly one
+    /// transition, and only successors the subsumption probe drops, as
+    /// many as were counted.
+    #[cfg(debug_assertions)]
+    fn assert_stutter(
+        &self,
+        entry: &FrontierEntry,
+        ai: usize,
+        eid: usize,
+        settles: bool,
+        pool: &mut DbmPool,
+    ) {
+        let mut scratch = LocalStats::default();
+        let mut w = Work {
+            locs: entry.locs.clone(),
+            mon: entry.mon.clone(),
+            zone: pool.clone_dbm(&entry.zone),
+            queue: VecDeque::new(),
+            acts: Vec::new(),
+        };
+        assert!(
+            matches!(self.apply_edge(&mut w, ai, eid, &mut scratch), Ok(true)),
+            "a silent self-loop fires without a violation"
+        );
+        let mut settled = Vec::new();
+        assert!(
+            self.resolve(w, 0, &mut settled, &mut scratch, pool).is_ok(),
+            "a silent self-loop's cascade has no violation"
+        );
+        for s in settled {
+            assert!(
+                matches!(self.cook(s, Some(entry.id), &mut scratch, pool), Ok(None)),
+                "a stutter's successor is dropped before admission"
+            );
+        }
+        assert_eq!(
+            scratch.transitions, 1,
+            "a silent self-loop is one transition"
+        );
+        assert_eq!(
+            scratch.subsumed,
+            usize::from(settles),
+            "the probe drops exactly the counted successors"
+        );
     }
 
     /// Packages a monitor violation with the trace context of `w` (the
@@ -1759,12 +1946,15 @@ impl Engine<'_> {
     ///   guarded edge, conservatively over-approximated (full-zone
     ///   ignore, which can only add behaviours, never hide one) when
     ///   several guarded edges compete.
+    ///
+    /// The drop fate is always a receiver's last branch, so it takes `w`
+    /// itself; every other branch works on a clone.
     #[allow(clippy::too_many_arguments)]
     fn deliver_fates(
         &self,
-        w: Work,
+        mut w: Work,
         root: u16,
-        receivers: &[(usize, Vec<(usize, bool)>)],
+        receivers: &[(usize, &[RecvEdge])],
         idx: usize,
         depth: usize,
         out: &mut Vec<Work>,
@@ -1774,15 +1964,13 @@ impl Engine<'_> {
         if idx == receivers.len() {
             return self.resolve(w, depth + 1, out, local, pool);
         }
-        let (ai, edges) = &receivers[idx];
+        let (ai, edges) = receivers[idx];
+        let aut = ai as u16;
         let mut any_delivered = false;
-        for (eid, _) in edges {
+        for re in edges {
             let mut branch = w.clone_via(pool);
-            branch.acts.push(Act::Deliver {
-                root,
-                aut: *ai as u16,
-            });
-            if self.apply_edge(&mut branch, *ai, *eid, local)? {
+            branch.acts.push(Act::Deliver { root, aut });
+            if self.apply_edge(&mut branch, ai, re.eid as usize, local)? {
                 any_delivered = true;
                 self.deliver_fates(branch, root, receivers, idx + 1, depth, out, local, pool)?;
             } else {
@@ -1794,55 +1982,49 @@ impl Engine<'_> {
         // lossy and reliable edges on one root, which the pattern never
         // does); a purely reliable receiver only misses the event where
         // none of its edges is enabled.
-        let any_lossy = edges.iter().any(|(_, lossy)| *lossy);
-        if any_lossy || !any_delivered {
+        if edges.iter().any(|re| re.lossy) || !any_delivered {
             // Drop (lossy) or discard (reliable but nowhere enabled).
-            let mut branch = w.clone_via(pool);
-            branch.acts.push(Act::Lost {
-                root,
-                aut: *ai as u16,
-            });
-            self.deliver_fates(branch, root, receivers, idx + 1, depth, out, local, pool)?;
-        } else {
-            // Reliable and at least one edge delivered somewhere in the
-            // zone: the event is still ignored on the sub-zone where no
-            // edge is enabled.
-            let guarded: Vec<usize> = edges
-                .iter()
-                .filter(|(eid, _)| !self.net.automata[*ai].edges[*eid].guard.is_empty())
-                .map(|(eid, _)| *eid)
-                .collect();
-            let unguarded_exists = edges.len() > guarded.len();
-            if !unguarded_exists && guarded.len() == 1 {
+            w.acts.push(Act::Lost { root, aut });
+            return self.deliver_fates(w, root, receivers, idx + 1, depth, out, local, pool);
+        }
+        // Reliable and at least one edge delivered somewhere in the zone:
+        // the event is still ignored on the sub-zone where no edge is
+        // enabled. An unguarded reliable edge is always enabled, so no
+        // ignore fate exists then.
+        let guard = |re: &RecvEdge| &self.net.automata[ai].edges[re.eid as usize].guard;
+        if edges.iter().all(|re| !guard(re).is_empty()) {
+            if let [only] = edges {
                 // Exact complement: one guarded edge, branch per negated
                 // guard atom.
-                for atom in &self.net.automata[*ai].edges[guarded[0]].guard {
+                for atom in guard(only) {
                     let mut branch = w.clone_via(pool);
                     if !atom.negated().apply_and_close(&mut branch.zone) {
                         pool.recycle(branch.zone);
                         continue;
                     }
-                    branch.acts.push(Act::GuardOff {
-                        root,
-                        aut: *ai as u16,
-                    });
+                    branch.acts.push(Act::GuardOff { root, aut });
                     self.deliver_fates(branch, root, receivers, idx + 1, depth, out, local, pool)?;
                 }
-            } else if !unguarded_exists {
+            } else {
                 // Several guarded reliable edges: over-approximate with a
                 // full-zone ignore branch (sound for Safe verdicts).
                 let mut branch = w.clone_via(pool);
-                branch.acts.push(Act::MaybeIgnored {
-                    root,
-                    aut: *ai as u16,
-                });
+                branch.acts.push(Act::MaybeIgnored { root, aut });
                 self.deliver_fates(branch, root, receivers, idx + 1, depth, out, local, pool)?;
             }
-            // An unguarded reliable edge is always enabled: no ignore
-            // fate exists.
         }
         pool.recycle(w.zone);
         Ok(())
+    }
+
+    /// The receiving edges of automaton `ai` in location `loc` that
+    /// listen for `root`, in edge order: one run of the root-sorted
+    /// dispatch table.
+    fn receivers_in(&self, ai: usize, loc: u32, root: u16) -> &[RecvEdge] {
+        let table = &self.recv[ai][loc as usize];
+        let start = table.partition_point(|re| re.root < root);
+        let len = table[start..].partition_point(|re| re.root == root);
+        &table[start..start + len]
     }
 
     /// Resolves pending emissions (branching on delivery fates) and
@@ -1861,30 +2043,33 @@ impl Engine<'_> {
             return Ok(());
         }
         if let Some((sender, root)) = w.queue.pop_front() {
-            // Candidate receivers, grouped per automaton: the executor
-            // broadcasts an emission to every listener except the sender
-            // (`route_emission` skips `receiver == sender`), and each
-            // listener's wireless delivery has its own drop fate. The
-            // per-location dispatch table replaces the full edge scan.
-            let mut receivers: Vec<(usize, Vec<(usize, bool)>)> = Vec::new(); // (aut, [(edge, lossy)])
-            for ai in 0..self.net.automata.len() {
-                if ai == sender as usize {
-                    continue;
-                }
-                let loc = w.locs[ai] as usize;
-                let edges: Vec<(usize, bool)> = self.recv[ai][loc]
-                    .iter()
-                    .filter(|re| re.root == root)
-                    .map(|re| (re.eid as usize, re.lossy))
-                    .collect();
-                if !edges.is_empty() {
-                    receivers.push((ai, edges));
-                }
-            }
+            // Candidate receivers, one slice of the dispatch table per
+            // listening automaton: the executor broadcasts an emission
+            // to every listener except the sender (`route_emission`
+            // skips `receiver == sender`), and each listener's wireless
+            // delivery has its own drop fate.
+            let receivers: Vec<(usize, &[RecvEdge])> = w
+                .locs
+                .iter()
+                .enumerate()
+                .filter(|&(ai, _)| ai != sender as usize)
+                .map(|(ai, &l)| (ai, self.receivers_in(ai, l, root)))
+                .filter(|(_, edges)| !edges.is_empty())
+                .collect();
             return self.deliver_fates(w, root, &receivers, 0, depth, out, local, pool);
         }
 
-        // No pending events: split on invariant satisfaction.
+        // No pending events. Without an urgent escape to fire, the work
+        // item settles in place, within the invariants.
+        if !self.has_escape(&w.locs, &w.zone) {
+            if self.apply_invariants(&w.locs, &mut w.zone) {
+                out.push(w);
+            } else {
+                pool.recycle(w.zone);
+            }
+            return Ok(());
+        }
+        // Otherwise the sub-zone within the invariants settles first…
         let mut zin = pool.clone_dbm(&w.zone);
         if self.apply_invariants(&w.locs, &mut zin) {
             out.push(Work {
@@ -1897,9 +2082,15 @@ impl Engine<'_> {
         } else {
             pool.recycle(zin);
         }
-        // Sub-zones beyond some invariant must take an urgent escape now.
+        // …then the sub-zones beyond an invariant of a location with
+        // urgent edges take an urgent escape now. (Those beyond the
+        // invariant of a location without one have nothing to fire and
+        // are dropped.)
         for (ai, aut) in self.net.automata.iter().enumerate() {
             let loc = w.locs[ai] as usize;
+            if self.urgent[ai][loc].is_empty() {
+                continue;
+            }
             for atom in &aut.locations[loc].invariant {
                 let mut zout = pool.clone_dbm(&w.zone);
                 if !atom.negated().apply_and_close(&mut zout) {
@@ -1928,6 +2119,20 @@ impl Engine<'_> {
         Ok(())
     }
 
+    /// Whether some occupied location with an urgent edge has an
+    /// invariant atom whose negation the canonical, non-empty `zone`
+    /// satisfies: a sub-zone [`Engine::resolve`] must send down an
+    /// urgent escape.
+    fn has_escape(&self, locs: &[u32], zone: &Dbm) -> bool {
+        locs.iter().enumerate().any(|(ai, &l)| {
+            !self.urgent[ai][l as usize].is_empty()
+                && self.net.automata[ai].locations[l as usize]
+                    .invariant
+                    .iter()
+                    .any(|atom| atom.negated().satisfiable_in(zone))
+        })
+    }
+
     /// Conjoins the invariants of the locations `locs` onto a canonical
     /// zone; `false` when they empty it. The upper bounds — every
     /// invariant the pattern lowers to — close together in one pass
@@ -1950,6 +2155,44 @@ impl Engine<'_> {
             )
     }
 
+    /// Cook's steps before its subsumption probe, on a zone settled in
+    /// the locations `locs` with observer state `mon`: delay within the
+    /// location invariants (unless some occupied location freezes time),
+    /// then the monitor's and the static masks' dead-clock frees.
+    /// `false` when the invariants empty the zone, which cannot happen
+    /// to a zone that satisfied them. [`Engine::stutter_cover`] runs the
+    /// same steps.
+    fn delay_and_free(&self, locs: &[u32], mon: &MonitorState, zone: &mut Dbm) -> bool {
+        // Delay: up-close within the conjunction of location invariants,
+        // unless some occupied location freezes time.
+        let frozen = locs
+            .iter()
+            .enumerate()
+            .any(|(ai, &l)| self.net.automata[ai].locations[l as usize].frozen);
+        if !frozen {
+            zone.up();
+            if !self.apply_invariants(locs, zone) {
+                return false;
+            }
+        }
+        // Observer-clock activity reduction: the monitor frees whichever
+        // of its clocks are dead in this state, collapsing zones that
+        // differ only in dead-clock history.
+        self.monitor.reduce_activity(locs, mon, zone);
+        // …and the same collapse for the network's own clocks, from the
+        // static per-location liveness masks. A freed clock is reset
+        // before its next read, so no future guard, invariant, or
+        // observer constraint can tell the difference.
+        if let Some(masks) = self.masks {
+            let mut dead = masks.dead_mask(locs);
+            while dead != 0 {
+                zone.free(dead.trailing_zeros() as usize + 1);
+                dead &= dead - 1;
+            }
+        }
+        true
+    }
+
     /// Cooks a settled work item into an admission candidate: delay
     /// closure, observer-clock activity reduction, extrapolation, and
     /// the state-level PTE checks. Subsumption is deferred to phase 2.
@@ -1963,36 +2206,10 @@ impl Engine<'_> {
         local: &mut LocalStats,
         pool: &mut DbmPool,
     ) -> Result<Option<Candidate>, Box<Violation>> {
-        // Delay: up-close within the conjunction of location invariants,
-        // unless some occupied location freezes time.
-        let frozen = w
-            .locs
-            .iter()
-            .enumerate()
-            .any(|(ai, &l)| self.net.automata[ai].locations[l as usize].frozen);
-        if !frozen {
-            w.zone.up();
-            if !self.apply_invariants(&w.locs, &mut w.zone) {
-                // Cannot happen for a zone that satisfied the
-                // invariants, but guard against malformed inputs.
-                pool.recycle(w.zone);
-                return Ok(None);
-            }
-        }
-        // Observer-clock activity reduction: the monitor frees whichever
-        // of its clocks are dead in this state, collapsing zones that
-        // differ only in dead-clock history.
-        self.monitor.reduce_activity(&w.locs, &w.mon, &mut w.zone);
-        // …and the same collapse for the network's own clocks, from the
-        // static per-location liveness masks. A freed clock is reset
-        // before its next read, so no future guard, invariant, or
-        // observer constraint can tell the difference.
-        if let Some(masks) = self.masks {
-            let mut dead = masks.dead_mask(&w.locs);
-            while dead != 0 {
-                w.zone.free(dead.trailing_zeros() as usize + 1);
-                dead &= dead - 1;
-            }
+        if !self.delay_and_free(&w.locs, &w.mon, &mut w.zone) {
+            // Guards against malformed inputs.
+            pool.recycle(w.zone);
+            return Ok(None);
         }
 
         // Early subsumption probe — *before* extrapolation: if an
@@ -2165,6 +2382,7 @@ impl Engine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ta::{Atom, Rel, TaAutomaton, TaEdge, TaLocation};
     use crate::LoweredPattern;
 
     /// Registry arms small enough for a debug-build unit test.
@@ -2290,18 +2508,19 @@ mod tests {
         }
     }
 
-    /// `m: Init -> names[i] -> Bad` for i = 0, 1, with the second hop of
-    /// branch `i` entering location `bad[i]` (3 and 4 are both named
-    /// `Bad`): every violation sits in BFS round 2.
-    fn fan(names: [&str; 2], bad: [usize; 2]) -> TaNetwork {
-        use crate::ta::{TaAutomaton, TaEdge, TaLocation};
-        let loc = |name: &str| TaLocation {
+    /// A location of a hand-built automaton.
+    fn loc(name: &str, invariant: Vec<Atom>) -> TaLocation {
+        TaLocation {
             name: name.to_string(),
-            invariant: Vec::new(),
+            invariant,
             frozen: false,
             risky: false,
-        };
-        let edge = |src: usize, dst: usize| TaEdge {
+        }
+    }
+
+    /// A bare spontaneous edge of a hand-built automaton.
+    fn edge(src: usize, dst: usize) -> TaEdge {
+        TaEdge {
             src,
             dst,
             guard: Vec::new(),
@@ -2309,21 +2528,192 @@ mod tests {
             sync: Sync::None,
             emits: Vec::new(),
             urgent: false,
-        };
+        }
+    }
+
+    /// `x ⋈ ticks` over the hand-built networks' one clock.
+    fn x(rel: Rel, ticks: i64) -> Atom {
+        Atom {
+            clock: 1,
+            rel,
+            ticks,
+        }
+    }
+
+    /// `m: Init -> names[i] -> Bad` for i = 0, 1, with the second hop of
+    /// branch `i` entering location `bad[i]` (3 and 4 are both named
+    /// `Bad`): every violation sits in BFS round 2.
+    fn fan(names: [&str; 2], bad: [usize; 2]) -> TaNetwork {
         TaNetwork {
             clocks: vec!["m.x".to_string()],
             automata: vec![TaAutomaton {
                 name: "m".to_string(),
                 locations: vec![
-                    loc("Init"),
-                    loc(names[0]),
-                    loc(names[1]),
-                    loc("Bad"),
-                    loc("Bad"),
+                    loc("Init", Vec::new()),
+                    loc(names[0], Vec::new()),
+                    loc(names[1], Vec::new()),
+                    loc("Bad", Vec::new()),
+                    loc("Bad", Vec::new()),
                 ],
                 edges: vec![edge(0, 1), edge(0, 2), edge(1, bad[0]), edge(2, bad[1])],
                 initial: 0,
             }],
+        }
+    }
+
+    /// `m` beside a `chatter` automaton whose one location `Top` carries
+    /// a bare self-loop emitting `ping`: the universal chatter of a
+    /// compositional pair network, reduced to one root.
+    fn with_chatter(m: TaAutomaton) -> TaNetwork {
+        let chatter = TaAutomaton {
+            name: "chatter".to_string(),
+            locations: vec![loc("Top", Vec::new())],
+            edges: vec![TaEdge {
+                emits: vec![Root::new("ping")],
+                ..edge(0, 0)
+            }],
+            initial: 0,
+        };
+        TaNetwork {
+            clocks: vec!["m.x".to_string()],
+            automata: vec![chatter, m],
+        }
+    }
+
+    /// `m` cycles `A -> B -> A`: `A` (invariant `x ≤ 4`) is left at
+    /// `x ≥ 2`, `B` at `x ≥ 3` with `x` reset. `Bad` is entered only on
+    /// a `ping` that `m` receives in `B` when `receives` is set.
+    fn cycle(receives: bool) -> TaAutomaton {
+        let mut edges = vec![
+            TaEdge {
+                guard: vec![x(Rel::Ge, 2)],
+                ..edge(0, 1)
+            },
+            TaEdge {
+                guard: vec![x(Rel::Ge, 3)],
+                resets: vec![(1, 0)],
+                ..edge(1, 0)
+            },
+        ];
+        if receives {
+            edges.push(TaEdge {
+                sync: Sync::Lossy(Root::new("ping")),
+                ..edge(1, 2)
+            });
+        }
+        TaAutomaton {
+            name: "m".to_string(),
+            locations: vec![
+                loc("A", vec![x(Rel::Le, 4)]),
+                loc("B", Vec::new()),
+                loc("Bad", Vec::new()),
+            ],
+            edges,
+            initial: 0,
+        }
+    }
+
+    /// A search of `net` for `m.Bad` under a [`crate::LocationReachMonitor`]
+    /// at `workers` workers.
+    fn reach_bad(net: &TaNetwork, workers: usize) -> SymbolicVerdict {
+        let monitor = crate::LocationReachMonitor::new(net, &[("m", "Bad")]).unwrap();
+        let limits = Limits {
+            max_workers: workers,
+            ..Limits::default()
+        };
+        check_monitored(net, &monitor, &limits).unwrap()
+    }
+
+    /// The chatter's self-loop emits a root nobody can receive, so every
+    /// firing of it is silent and every entry's own zone covers it
+    /// (`A`'s invariant has no urgent escape, though extrapolation
+    /// widens `A`'s zone past it): each of the two entries counts one
+    /// stutter, one transition and one subsumed successor. `m`'s own
+    /// two firings add the entry `B` and a successor that `A` subsumes.
+    /// Debug builds also expand every counted firing and assert it.
+    #[test]
+    fn a_chatter_automatons_silent_self_loop_is_counted() {
+        let net = with_chatter(cycle(false));
+        for workers in [1usize, 2] {
+            let SymbolicVerdict::Safe(stats) = reach_bad(&net, workers) else {
+                panic!("m.Bad is unreachable without a receiver");
+            };
+            assert_eq!(
+                (
+                    stats.states,
+                    stats.transitions,
+                    stats.subsumed,
+                    stats.stutters
+                ),
+                (2, 4, 3, 2),
+                "{workers} workers"
+            );
+        }
+    }
+
+    /// Once `m` listens for `ping` in `B`, the chatter's firings from
+    /// `B` are not silent: they are expanded, deliver `ping` and reach
+    /// `Bad`. The firings from `A` are still counted.
+    #[test]
+    fn a_self_loop_whose_root_has_a_receiver_is_expanded() {
+        let net = with_chatter(cycle(true));
+        for workers in [1usize, 2] {
+            let SymbolicVerdict::Unsafe(ce) = reach_bad(&net, workers) else {
+                panic!("the delivered ping reaches m.Bad");
+            };
+            assert_eq!(
+                format!("{ce}"),
+                "symbolic safety violation: location `m.Bad` is reachable\n    \
+                 1. initial state\n    \
+                 2. m: A -> B\n    \
+                 3. chatter: Top -> Top; deliver ping to m; m: B -> Bad (recv ping)\n  \
+                 zone: 2 <= m.x",
+                "{workers} workers"
+            );
+        }
+    }
+
+    /// `Wait`'s invariant `x ≤ 5` has an urgent escape to `Bad`, and
+    /// extrapolation widens the `Wait` entry's zone past it. The
+    /// chatter's firing from that entry must not be counted: its
+    /// expansion settles the sub-zone within the invariant and sends
+    /// the one beyond it down the escape. That witness is the least of
+    /// its round, ahead of `m`'s own firing of the escape edge.
+    #[test]
+    fn an_urgent_escape_past_an_extrapolated_invariant_still_fires() {
+        let m = TaAutomaton {
+            name: "m".to_string(),
+            locations: vec![
+                loc("Init", Vec::new()),
+                loc("Wait", vec![x(Rel::Le, 5)]),
+                loc("Bad", Vec::new()),
+            ],
+            edges: vec![
+                TaEdge {
+                    resets: vec![(1, 0)],
+                    ..edge(0, 1)
+                },
+                TaEdge {
+                    urgent: true,
+                    ..edge(1, 2)
+                },
+            ],
+            initial: 0,
+        };
+        let net = with_chatter(m);
+        for workers in [1usize, 2] {
+            let SymbolicVerdict::Unsafe(ce) = reach_bad(&net, workers) else {
+                panic!("the escape reaches m.Bad");
+            };
+            assert_eq!(
+                format!("{ce}"),
+                "symbolic safety violation: location `m.Bad` is reachable\n    \
+                 1. initial state\n    \
+                 2. m: Init -> Wait\n    \
+                 3. chatter: Top -> Top; m invariant expired; m: Wait -> Bad\n  \
+                 zone: 5 < m.x",
+                "{workers} workers"
+            );
         }
     }
 
