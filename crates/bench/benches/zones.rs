@@ -353,9 +353,10 @@ fn reduction_row() -> pte_bench::ReductionRow {
 /// Every run is a cold proof: the process-global refinement verdict and
 /// pair proof store is emptied before each one, whatever ran earlier
 /// in the process. After the chain-12 row, its safeguard-relaxed edit
-/// (every `T^min_risky` / `T^min_safe` halved) is timed once against
-/// the pair proofs its last run stored: every pair must transfer, at
-/// least 4x faster than the row's cold proof.
+/// (every `T^min_risky` / `T^min_safe` halved) is timed as the median
+/// of [`RUNS`] runs against the pair proofs the row's last run stored:
+/// every pair must transfer in every run, with equal counters, and the
+/// median must be at least 4x faster than the row's cold proof.
 fn compositional_rows() -> (
     Vec<pte_bench::CompositionalRow>,
     pte_bench::CompositionalWarmRow,
@@ -418,12 +419,22 @@ fn compositional_rows() -> (
                     .collect(),
                 ..cfg.clone()
             };
-            let t = Instant::now();
-            let edit = check_compositional(&relaxed, true, EnvProfile::default(), &limits).unwrap();
-            let warm_secs = t.elapsed().as_secs_f64();
-            assert!(matches!(edit.verdict, CompositionalVerdict::Safe));
+            // A transfer stores nothing, so every run of the edit finds
+            // the same pair proofs.
+            let (warm_secs, edits) = timed_median(|| {
+                check_compositional(&relaxed, true, EnvProfile::default(), &limits).unwrap()
+            });
+            let counters = edits
+                .iter()
+                .map(|edit| {
+                    assert!(matches!(edit.verdict, CompositionalVerdict::Safe));
+                    (edit.pairs_transferred, edit.warm_seeded)
+                })
+                .collect();
+            let (pairs_transferred, warm_seeded) =
+                same_counters(&format!("compositional_warm chain-{n}"), counters);
             assert_eq!(
-                edit.pairs_transferred, pair_networks,
+                pairs_transferred, pair_networks,
                 "every pair proof of the relaxed chain-{n} edit must transfer"
             );
             assert!(
@@ -435,9 +446,8 @@ fn compositional_rows() -> (
             );
             println!(
                 "bench: compositional_warm/chain-{n} (safeguards halved)   \
-                 {} of {} pair proofs transferred, {:.1} ms ({:.0}x)",
-                edit.pairs_transferred,
-                pair_networks,
+                 {pairs_transferred} of {pair_networks} pair proofs transferred, \
+                 {:.1} ms ({:.0}x)",
                 warm_secs * 1e3,
                 secs / warm_secs,
             );
@@ -445,8 +455,8 @@ fn compositional_rows() -> (
                 scenario: format!("chain-{n}"),
                 cold_secs: secs,
                 warm_secs,
-                pairs_transferred: edit.pairs_transferred,
-                warm_seeded: edit.warm_seeded,
+                pairs_transferred,
+                warm_seeded,
             });
         }
         rows.push(pte_bench::CompositionalRow {

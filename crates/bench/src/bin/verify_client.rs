@@ -104,6 +104,16 @@ fn run() -> i32 {
                     s.cache_evictions
                 );
                 println!(
+                    "artifacts: {} in memory ({} B of {} B), {} hits / {} misses, \
+                     {} evictions",
+                    s.artifact_cache_entries,
+                    s.artifact_cache_bytes,
+                    s.artifact_cache_max_bytes,
+                    s.artifact_cache_hits,
+                    s.artifact_cache_misses,
+                    s.artifact_cache_evictions
+                );
+                println!(
                     "disk: {} files ({} B{}), {} hits / {} misses, \
                      {} artifact hits / {} artifact misses, {} stores, \
                      {} evictions, {} corrupt",

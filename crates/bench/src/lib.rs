@@ -112,7 +112,8 @@ pub struct CompositionalWarmRow {
     pub scenario: String,
     /// Wall time of the parent's cold proof, seconds.
     pub cold_secs: f64,
-    /// Wall time of the edit, seconds.
+    /// Wall time of the edit, seconds (the median of the zones bench's
+    /// five runs).
     pub warm_secs: f64,
     /// Pair searches the edit answered by transfer.
     pub pairs_transferred: usize,

@@ -12,9 +12,10 @@
 //!                        (default 0 = available_parallelism - 1)
 //!   --cache N            report-cache capacity in entries (default 64; 0 disables)
 //!   --cache-dir PATH     persistent cache directory: conclusive reports and
-//!                        passed-list artifacts survive restarts, and requests
-//!                        with a parent key warm-start from its artifact
-//!                        (default: memory-only, no warm starts)
+//!                        passed-list artifacts survive restarts (written after
+//!                        each reply; recent artifacts are also kept in memory),
+//!                        and requests with a parent key warm-start from its
+//!                        artifact (default: memory-only, no warm starts)
 //!   --cache-bytes N      disk-tier byte bound, evicted oldest-first
 //!                        (default 0 = unbounded)
 //!   --cache-mem-bytes N  in-memory report-tier byte bound (default 0 = unbounded)

@@ -25,6 +25,11 @@
 //!
 //! * [`ReportCache`] — in-memory, FIFO, bounded in **entries and
 //!   bytes** (serialized-report size).
+//! * [`ArtifactCache`] — in-memory, FIFO, the decoded passed-list
+//!   artifacts of recent `Safe` runs, bounded by the fixed byte budget
+//!   [`ARTIFACT_MEM_BYTES`] (encoded length). The daemon keeps it only
+//!   beside a disk tier, whose artifacts it fronts: a warm start looks
+//!   here first and reads the file only on a miss.
 //! * [`DiskCache`] — a directory of self-validating files that
 //!   survives daemon restarts: `<key>.report.json` (a one-line
 //!   checksummed header followed by the raw report JSON) and
@@ -35,7 +40,8 @@
 //!   a torn entry — only a complete old file or a complete new one.
 //!   Corrupt, truncated, or stale-version files are **deleted and
 //!   treated as misses**; the tier is size-bounded in bytes with
-//!   oldest-file-first eviction.
+//!   oldest-file-first eviction. The daemon writes both files behind
+//!   its reply (see [`crate::daemon`]).
 
 use parking_lot::Mutex;
 use pte_verify::api::{VerificationReport, VerificationRequest};
@@ -46,20 +52,23 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::SystemTime;
 
-/// Memory-tier counters (feed [`crate::protocol::DaemonStats`]).
+/// Memory-tier counters, of either tier (feed
+/// [`crate::protocol::DaemonStats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that returned a report.
+    /// Lookups that returned a value.
     pub hits: u64,
     /// Lookups that missed.
     pub misses: u64,
-    /// Reports currently stored.
+    /// Values currently stored.
     pub entries: usize,
-    /// Reports evicted (FIFO) since construction.
+    /// Values evicted (FIFO) since construction.
     pub evictions: u64,
-    /// Serialized bytes of the stored reports.
+    /// Bytes charged to the stored values: serialized size of a report,
+    /// encoded length of an artifact.
     pub bytes: usize,
     /// The entry bound (`0` = caching disabled).
     pub capacity: usize,
@@ -67,12 +76,15 @@ pub struct CacheStats {
     pub max_bytes: usize,
 }
 
-struct Inner {
-    map: HashMap<String, (VerificationReport, usize)>,
+/// A string-keyed map bounded in entries and in bytes, evicting in
+/// insertion order. Both memory tiers are one of these; each value
+/// carries the size it is charged.
+struct Fifo<V> {
+    map: HashMap<String, (V, usize)>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<String>,
     capacity: usize,
-    /// Byte bound over the serialized sizes (`0` = unbounded).
+    /// Byte bound over the charged sizes (`0` = unbounded).
     max_bytes: usize,
     bytes: usize,
     hits: u64,
@@ -80,21 +92,77 @@ struct Inner {
     evictions: u64,
 }
 
-impl Inner {
-    /// Drops oldest-first until both bounds hold. May evict the entry
-    /// that was just inserted (a single report larger than the byte
-    /// bound is not storable — the bound is a bound, not a hint).
-    fn evict_to_bounds(&mut self) {
+impl<V: Clone> Fifo<V> {
+    fn new(capacity: usize, max_bytes: usize) -> Fifo<V> {
+        Fifo {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            capacity,
+            max_bytes,
+            bytes: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
+
+    /// Looks `key` up, counting the hit or miss.
+    fn get(&mut self, key: &str) -> Option<V> {
+        match self.map.get(key) {
+            Some((v, _)) => {
+                let v = v.clone();
+                self.hits += 1;
+                Some(v)
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Stores `value` charged `size` bytes; a key already present keeps
+    /// its place in the eviction order. A value larger than the whole
+    /// byte bound is not stored and evicts nothing. Returns the values
+    /// it replaced or evicted, so that the caller frees them outside
+    /// the lock.
+    fn insert(&mut self, key: &str, value: V, size: usize) -> Vec<V> {
+        if self.capacity == 0 || (self.max_bytes != 0 && size > self.max_bytes) {
+            return Vec::new();
+        }
+        let mut dropped = Vec::new();
+        if let Some((old, old_size)) = self.map.insert(key.to_string(), (value, size)) {
+            self.bytes -= old_size;
+            dropped.push(old);
+        } else {
+            self.order.push_back(key.to_string());
+        }
+        self.bytes += size;
+        // Oldest first, until both bounds hold.
         while self.order.len() > self.capacity
             || (self.max_bytes != 0 && self.bytes > self.max_bytes)
         {
             let Some(old) = self.order.pop_front() else {
-                return;
+                break;
             };
-            if let Some((_, size)) = self.map.remove(&old) {
+            if let Some((v, size)) = self.map.remove(&old) {
                 self.bytes -= size;
                 self.evictions += 1;
+                dropped.push(v);
             }
+        }
+        dropped
+    }
+
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            entries: self.map.len(),
+            evictions: self.evictions,
+            bytes: self.bytes,
+            capacity: self.capacity,
+            max_bytes: self.max_bytes,
         }
     }
 }
@@ -102,7 +170,7 @@ impl Inner {
 /// The bounded in-memory report cache. Clone-free: the daemon holds
 /// one behind an `Arc`.
 pub struct ReportCache {
-    inner: Mutex<Inner>,
+    inner: Mutex<Fifo<VerificationReport>>,
 }
 
 impl ReportCache {
@@ -117,33 +185,13 @@ impl ReportCache {
     /// trips first evicts oldest-first.
     pub fn bounded(capacity: usize, max_bytes: usize) -> ReportCache {
         ReportCache {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                capacity,
-                max_bytes,
-                bytes: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
+            inner: Mutex::new(Fifo::new(capacity, max_bytes)),
         }
     }
 
     /// Looks `key` up, counting the hit or miss.
     pub fn get(&self, key: &str) -> Option<VerificationReport> {
-        let mut inner = self.inner.lock();
-        match inner.map.get(key) {
-            Some((r, _)) => {
-                let r = r.clone();
-                inner.hits += 1;
-                Some(r)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+        self.inner.lock().get(key)
     }
 
     /// Stores `report` under `key` if it is conclusive (and the cache
@@ -156,31 +204,89 @@ impl ReportCache {
         }
         let size = serde_json::to_string(report).map(|j| j.len()).unwrap_or(0);
         let mut inner = self.inner.lock();
-        if inner.capacity == 0 {
-            return false;
-        }
-        if let Some((_, old)) = inner.map.insert(key.to_string(), (report.clone(), size)) {
-            inner.bytes -= old;
-        } else {
-            inner.order.push_back(key.to_string());
-        }
-        inner.bytes += size;
-        inner.evict_to_bounds();
+        inner.insert(key, report.clone(), size);
         inner.map.contains_key(key)
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            entries: inner.map.len(),
-            evictions: inner.evictions,
-            bytes: inner.bytes,
-            capacity: inner.capacity,
-            max_bytes: inner.max_bytes,
+        self.inner.lock().stats()
+    }
+}
+
+/// Encoded bytes of passed-list artifacts the daemon keeps in memory
+/// ([`ArtifactCache`]): the chain-6 proof (2.7 MB), or the last five
+/// chain-4 proofs (0.58 MB each), or more of the smaller ones. Two
+/// clients alternating proofs and warm edits need the last three. A
+/// decoded artifact takes 1.6–2.1× its encoded length (chain-6 to
+/// case-study), and the heap around it more: on a 2-vCPU host, a
+/// daemon serving edit sessions of chain-4 and smaller models on two
+/// connections peaked 17–20 MB higher with this tier than without it,
+/// after 20 s and after 40 s alike.
+pub const ARTIFACT_MEM_BYTES: usize = 3 << 20;
+
+/// The memory tier of passed-list artifacts: cache key → the decoded
+/// proof a `Safe` run captured, shared by `Arc`, so a warm start that
+/// follows its parent's reply neither reads nor decodes a file. Each
+/// artifact is charged its encoded length
+/// ([`PassedArtifact::encoded_len`]); the tier evicts oldest-first
+/// beyond a fixed byte budget. It fronts the disk tier, which stays the
+/// artifacts' durable home.
+pub struct ArtifactCache {
+    inner: Mutex<Fifo<Arc<PassedArtifact>>>,
+}
+
+impl ArtifactCache {
+    /// An empty tier holding at most `max_bytes` of encoded artifacts
+    /// (the daemon passes [`ARTIFACT_MEM_BYTES`]).
+    pub fn new(max_bytes: usize) -> ArtifactCache {
+        ArtifactCache {
+            inner: Mutex::new(Fifo::new(usize::MAX, max_bytes)),
         }
+    }
+
+    /// Looks `key` up, counting the hit or miss.
+    pub fn get(&self, key: &str) -> Option<Arc<PassedArtifact>> {
+        self.inner.lock().get(key)
+    }
+
+    /// Stores `artifact` under `key`, evicting oldest-first past the
+    /// byte budget (an artifact larger than the whole budget is not
+    /// stored). Returns the artifacts it evicted or replaced: freeing a
+    /// proof is thousands of deallocations, so the caller decides when
+    /// they happen, e.g. after its reply.
+    #[must_use = "dropping the evicted artifacts here frees them here"]
+    pub fn insert(&self, key: &str, artifact: Arc<PassedArtifact>) -> Vec<Arc<PassedArtifact>> {
+        let size = artifact.encoded_len();
+        self.inner.lock().insert(key, artifact, size)
+    }
+
+    /// Replaces `artifact`, if the tier still holds it under `key`, by
+    /// a copy allocated on the calling thread. The daemon calls this
+    /// from one long-lived thread: a proof captured on a short-lived
+    /// job thread sits in that thread's allocator arena among the
+    /// search's freed memory, and kept there it pins that heap; copied,
+    /// every stored proof sits in one arena, its entries contiguous.
+    pub fn compact(&self, key: &str, artifact: &Arc<PassedArtifact>) {
+        let held = |inner: &Fifo<Arc<PassedArtifact>>| {
+            (inner.map.get(key)).is_some_and(|(v, _)| Arc::ptr_eq(v, artifact))
+        };
+        if !held(&self.inner.lock()) {
+            return;
+        }
+        let copy = Arc::new(PassedArtifact::clone(artifact));
+        let mut inner = self.inner.lock();
+        if held(&inner) {
+            let stored = inner.map.get_mut(key).expect("held");
+            let original = std::mem::replace(&mut stored.0, copy);
+            drop(inner);
+            drop(original);
+        }
+    }
+
+    /// Current counters (`capacity` is unbounded: the budget is bytes).
+    pub fn stats(&self) -> CacheStats {
+        self.inner.lock().stats()
     }
 }
 
@@ -620,6 +726,81 @@ mod tests {
         let tiny = ReportCache::bounded(16, 8);
         assert!(!tiny.insert("a", &report(Verdict::Safe, 1.0)));
         assert_eq!(tiny.stats().bytes, 0);
+    }
+
+    /// An entry-free artifact whose encoded length grows with `ticks`.
+    fn artifact(ticks: usize) -> Arc<PassedArtifact> {
+        Arc::new(PassedArtifact {
+            nclocks: 2,
+            extrapolation: pte_zones::Extrapolation::ExtraLu,
+            reduce_clocks: true,
+            net_digest: 7,
+            atom_ticks: vec![1; ticks],
+            masks_digest: 9,
+            profile: pte_zones::WarmProfile {
+                structure: 3,
+                weaken_lower: Vec::new(),
+                weaken_upper: Vec::new(),
+            },
+            entries: Vec::new(),
+        })
+    }
+
+    #[test]
+    fn artifact_tier_stays_within_its_budget_and_evicts_oldest_first() {
+        let one = artifact(100).encoded_len();
+        assert_eq!(one, artifact(100).to_bytes().len());
+        // Room for three artifacts of this size, not four.
+        let budget = 3 * one + one / 2;
+        let tier = ArtifactCache::new(budget);
+        let keys: Vec<String> = (0..10).map(|i| format!("{i:016x}")).collect();
+        for (i, k) in keys.iter().enumerate() {
+            let a = artifact(100);
+            let evicted = tier.insert(k, Arc::clone(&a));
+            assert_eq!(evicted.len(), usize::from(i >= 3), "insert {i}");
+            let s = tier.stats();
+            assert!(s.bytes <= budget, "{s:?}");
+            assert_eq!(s.entries, (i + 1).min(3));
+            // What is stored is the inserted proof itself, not a copy.
+            assert!(Arc::ptr_eq(&tier.get(k).unwrap(), &a));
+        }
+        // Compaction swaps in an equal copy and leaves the accounting
+        // alone; a proof the tier no longer holds is not copied.
+        let stored = tier.get(&keys[9]).unwrap();
+        tier.compact(&keys[9], &stored);
+        let copy = tier.get(&keys[9]).unwrap();
+        assert!(!Arc::ptr_eq(&copy, &stored) && *copy == *stored);
+        tier.compact(&keys[9], &stored);
+        assert!(Arc::ptr_eq(&tier.get(&keys[9]).unwrap(), &copy));
+        assert_eq!((tier.stats().entries, tier.stats().bytes), (3, 3 * one));
+
+        // The three newest survive, every older one was evicted in turn.
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(tier.get(k).is_some(), i >= 7, "key {i}");
+        }
+        let s = tier.stats();
+        assert_eq!((s.evictions, s.bytes, s.max_bytes), (7, 3 * one, budget));
+
+        // A larger artifact evicts as many of the oldest as it needs.
+        let big = artifact(250);
+        assert!(big.encoded_len() > 2 * one && big.encoded_len() < 3 * one);
+        assert_eq!(tier.insert("aaaaaaaaaaaaaaaa", big).len(), 2);
+        assert!(tier.get("aaaaaaaaaaaaaaaa").is_some());
+        assert!(tier.get(&keys[7]).is_none() && tier.get(&keys[8]).is_none());
+        assert!(tier.get(&keys[9]).is_some());
+        assert!(tier.stats().bytes <= budget);
+
+        // One artifact larger than the whole budget is not stored, and
+        // it evicts nothing.
+        let before = tier.stats();
+        assert!(tier.insert("bbbbbbbbbbbbbbbb", artifact(1000)).is_empty());
+        assert!(tier.get("bbbbbbbbbbbbbbbb").is_none());
+        assert!(tier.get(&keys[9]).is_some());
+        let after = tier.stats();
+        assert_eq!(
+            (after.entries, after.bytes, after.evictions),
+            (before.entries, before.bytes, before.evictions)
+        );
     }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {

@@ -26,10 +26,29 @@
 //!
 //! Shutdown (SIGTERM, SIGINT, or a `Shutdown` frame) runs the same
 //! drain: stop accepting, fire every registered token, wait for the
-//! in-flight reports to flush to their clients, join the connection
-//! threads, unlink the socket.
+//! in-flight reports to flush to their clients and for their disk
+//! writes to finish, join the connection threads, unlink the socket.
+//!
+//! ## Reply first, persist after
+//!
+//! A finished job puts its report into the memory report tier and a
+//! `Safe` run's passed-list artifact into the memory artifact tier
+//! ([`ArtifactCache`]), sends the `Report` frame, and only then writes
+//! both to the disk tier, on the same job thread. A request for the
+//! same key, or a warm start from it, sent after that reply is served
+//! from memory, so no reply waits on a file, not even a warm start's.
+//! Then the job hands the artifact to the daemon's one copier thread,
+//! which swaps the stored proof for a copy of its own
+//! ([`ArtifactCache::compact`]), so that kept proofs do not pin the
+//! heap of every short-lived job thread. The connection loop joins its
+//! job threads before it exits and the drain joins the connections, so
+//! Shutdown and SIGTERM finish pending writes. A crash between reply
+//! and write loses that one cache entry, never a verdict: the client
+//! already holds the report, and the next identical request runs
+//! again. A `Stats` frame first waits for the disk writes of every
+//! report sent before it, so its disk counters are exact.
 
-use crate::cache::{DiskCache, ReportCache};
+use crate::cache::{ArtifactCache, DiskCache, ReportCache, ARTIFACT_MEM_BYTES};
 use crate::protocol::{
     read_frame_buffered, write_frame, ClientFrame, DaemonStats, FrameTooLarge, ServerFrame,
 };
@@ -40,11 +59,11 @@ use parking_lot::Mutex;
 use pte_tracheotomy::registry;
 use pte_verify::api::{ArtifactIo, Inconclusive, Verdict, VerificationReport, VerificationRequest};
 use pte_verify::{new_sink, CancelToken, PassedArtifact, ProgressSink};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Condvar};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -56,7 +75,9 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// snapshots can arrive every few microseconds on small scenarios).
 const PROGRESS_INTERVAL: Duration = Duration::from_millis(25);
 /// How long the shutdown drain waits for cancelled jobs to flush their
-/// reports before giving up and exiting anyway.
+/// reports and for delivered reports to reach disk before giving up
+/// and exiting anyway; also how long a `Stats` frame waits for disk
+/// writes.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Daemon configuration (the `pte-verifyd` CLI maps flags onto this).
@@ -72,8 +93,12 @@ pub struct DaemonConfig {
     pub cache_capacity: usize,
     /// In-memory report-cache byte bound (`0` = unbounded).
     pub cache_mem_bytes: usize,
-    /// Persistent cache directory. `None` runs memory-only: reports
-    /// die with the daemon and warm starts have no artifact source.
+    /// Persistent cache directory. `None` runs memory-only: reports die
+    /// with the daemon, no passed-list artifact is captured, and a
+    /// request naming a parent runs cold. With a directory, each `Safe`
+    /// run's artifact is kept in a memory tier of fixed size
+    /// ([`ARTIFACT_MEM_BYTES`]) and written, with the report, to the
+    /// directory after the reply.
     pub cache_dir: Option<PathBuf>,
     /// Disk-tier byte bound (`0` = unbounded), enforced oldest-first
     /// after every store.
@@ -93,12 +118,62 @@ impl DaemonConfig {
     }
 }
 
+/// Disk writes of reports already sent, each under a ticket taken
+/// before its `Report` frame, so a `Stats` frame can wait for exactly
+/// the writes of the reports sent before it. Every update leaves the
+/// state valid, so a poisoned lock is taken over as it is.
+#[derive(Default)]
+struct Persists {
+    /// The next ticket, and the tickets whose writes are unfinished.
+    state: std::sync::Mutex<(u64, BTreeSet<u64>)>,
+    finished: Condvar,
+}
+
+impl Persists {
+    fn begin(&self) -> u64 {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let ticket = state.0;
+        state.0 += 1;
+        state.1.insert(ticket);
+        ticket
+    }
+
+    fn end(&self, ticket: u64) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.1.remove(&ticket);
+        self.finished.notify_all();
+    }
+
+    /// Waits until every write begun before this call has ended, or
+    /// `timeout` has passed.
+    fn wait_begun(&self, timeout: Duration) {
+        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let before = state.0;
+        let _ = self
+            .finished
+            .wait_timeout_while(state, timeout, |(_, pending)| {
+                pending.first().is_some_and(|&t| t < before)
+            });
+    }
+}
+
+/// A proof the memory artifact tier stored, under its key, on its way
+/// to the copier thread.
+type Stored = (String, Arc<PassedArtifact>);
+
 /// State shared by the accept loop, every connection, and every job.
 struct Shared {
     budget: WorkerBudget,
     cache: ReportCache,
     /// The persistent tier, when the daemon was given `--cache-dir`.
     disk: Option<DiskCache>,
+    /// Recent `Safe` runs' artifacts (filled only beside a disk tier).
+    artifacts: ArtifactCache,
+    /// Where a job sends the artifact it stored, for
+    /// [`ArtifactCache::compact`] on the copier thread of
+    /// [`Daemon::run`] (`None` before that starts and after the drain).
+    copier: Mutex<Option<mpsc::Sender<Stored>>>,
+    persists: Persists,
     /// Daemon-local shutdown flag (`Shutdown` frame, [`DaemonHandle`]).
     shutdown: AtomicBool,
     started: Instant,
@@ -117,9 +192,13 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst) || signal::shutdown_requested()
     }
 
+    /// Current counters, once the disk writes of every report already
+    /// sent have finished.
     fn stats(&self) -> DaemonStats {
+        self.persists.wait_begun(DRAIN_TIMEOUT);
         let b = self.budget.stats();
         let c = self.cache.stats();
+        let a = self.artifacts.stats();
         let d = self.disk.as_ref().map(|d| d.stats()).unwrap_or_default();
         // The refinement verdict and pair proof store is process-global
         // (the compositional backend shares it across requests), so the
@@ -142,6 +221,12 @@ impl Shared {
             cache_bytes: c.bytes,
             cache_capacity: c.capacity,
             cache_max_bytes: c.max_bytes,
+            artifact_cache_hits: a.hits,
+            artifact_cache_misses: a.misses,
+            artifact_cache_entries: a.entries,
+            artifact_cache_evictions: a.evictions,
+            artifact_cache_bytes: a.bytes,
+            artifact_cache_max_bytes: a.max_bytes,
             disk_hits: d.hits,
             disk_misses: d.misses,
             disk_artifact_hits: d.artifact_hits,
@@ -178,7 +263,8 @@ impl DaemonHandle {
         self.shared.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Current daemon statistics.
+    /// Current daemon statistics, once the disk writes of every report
+    /// already sent have finished (as for a `Stats` frame).
     pub fn stats(&self) -> DaemonStats {
         self.shared.stats()
     }
@@ -204,6 +290,9 @@ impl Daemon {
             budget: WorkerBudget::new(config.resolved_workers()),
             cache: ReportCache::bounded(config.cache_capacity, config.cache_mem_bytes),
             disk,
+            artifacts: ArtifactCache::new(ARTIFACT_MEM_BYTES),
+            copier: Mutex::new(None),
+            persists: Persists::default(),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             submitted: AtomicU64::new(0),
@@ -231,9 +320,24 @@ impl Daemon {
 
     /// Serves until shutdown is requested (signal, handle, or
     /// `Shutdown` frame), then drains: fires every in-flight job's
-    /// token, waits for the cancelled reports to flush, joins
-    /// connection threads, and removes the socket file.
+    /// token, waits for the cancelled reports to flush and for pending
+    /// disk writes to finish, joins connection threads, and removes the
+    /// socket file.
     pub fn run(self) -> io::Result<()> {
+        // One long-lived thread re-allocates every artifact the memory
+        // tier stores (see `ArtifactCache::compact`). On a 2-vCPU host,
+        // a two-connection edit workload then ran warm edits, proofs
+        // and falsifications a few percent faster and peaked lower.
+        let (to_copier, stored) = mpsc::channel::<Stored>();
+        *self.shared.copier.lock() = Some(to_copier);
+        let copier = {
+            let shared = Arc::clone(&self.shared);
+            thread::spawn(move || {
+                for (key, artifact) in stored {
+                    shared.artifacts.compact(&key, &artifact);
+                }
+            })
+        };
         let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
         while !self.shared.shutting_down() {
             match self.listener.accept() {
@@ -252,7 +356,8 @@ impl Daemon {
             token.cancel();
         }
         // ...wait for the cancelled reports to flush to their clients
-        // (connection threads exit once their own jobs are done)...
+        // and the delivered ones to reach disk (connection threads exit
+        // once their own jobs are done)...
         let deadline = Instant::now() + DRAIN_TIMEOUT;
         for conn in connections {
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -261,6 +366,9 @@ impl Daemon {
             }
             join_with_timeout(conn, remaining);
         }
+        // ...stop the copier once its queue is done...
+        self.shared.copier.lock().take();
+        join_with_timeout(copier, deadline.saturating_duration_since(Instant::now()));
         // ...and clean the socket file up.
         self.listener.cleanup();
         Ok(())
@@ -426,7 +534,8 @@ fn handle_frame(
 /// Handles a `Submit`: validates and keys the request, answers from
 /// the memory tier, then the disk tier (promoting the report into
 /// memory), otherwise resolves the warm-start artifact and spawns the
-/// job thread. `no_cache` skips both lookups *and* both stores.
+/// job thread. `no_cache` skips both report lookups *and* every store;
+/// a warm start's artifact is still looked up.
 fn submit(
     conn: &Arc<Conn>,
     id: u64,
@@ -484,13 +593,23 @@ fn submit(
             return;
         }
     }
-    // Warm start: the parent key names a prior run whose artifact
-    // lives in the disk tier (memory holds reports only — artifacts
-    // exist to survive restarts). Missing or inadmissible artifacts
-    // degrade to a cold run; they can never flip a verdict.
+    // Warm start: the parent key names a prior `Safe` run whose
+    // artifact the memory tier holds if the run was recent, and the
+    // disk tier if it survived eviction or a restart (a disk hit is
+    // promoted into memory, like a report). Missing or inadmissible
+    // artifacts degrade to a cold run; they can never flip a verdict.
     let warm: Option<Arc<PassedArtifact>> = match (&request.parent_key, &conn.shared.disk) {
         (Some(parent), Some(disk)) if request.budget.warm_start != Some(false) => {
-            disk.get_artifact(parent).map(Arc::new)
+            conn.shared.artifacts.get(parent).or_else(|| {
+                // Evicted, or larger than the tier: its file may still
+                // be being written behind the parent's reply.
+                conn.shared.persists.wait_begun(DRAIN_TIMEOUT);
+                let artifact = Arc::new(disk.get_artifact(parent)?);
+                if !no_cache {
+                    drop(conn.shared.artifacts.insert(parent, Arc::clone(&artifact)));
+                }
+                Some(artifact)
+            })
         }
         _ => None,
     };
@@ -511,10 +630,10 @@ fn submit(
 
 /// Executes one admitted request on the job thread: waits for worker
 /// slots, runs capped to the grant (warm-seeded when an admissible
-/// parent artifact was resolved), streams throttled progress, sends
-/// the terminal report, persists conclusive results and captured
-/// passed-list artifacts to the disk tier, and maintains every
-/// registry and counter.
+/// parent artifact was resolved), streams throttled progress, stores a
+/// conclusive report and a `Safe` run's captured passed-list artifact
+/// in the memory tiers, sends the terminal report, then persists both
+/// to the disk tier, and maintains every registry and counter.
 #[allow(clippy::too_many_arguments)]
 fn run_job(
     conn: &Arc<Conn>,
@@ -527,12 +646,12 @@ fn run_job(
     token: CancelToken,
 ) {
     let started = Instant::now();
-    let outcome = match conn.shared.budget.acquire(request.worker_cost(), &token) {
+    let (outcome, artifact) = match conn.shared.budget.acquire(request.worker_cost(), &token) {
         None => {
             // Cancelled while queued: the search never started, so
             // synthesize the same inconclusive shape a cancelled run
             // reports (no backends ran — none were admitted).
-            Ok(VerificationReport {
+            let report = VerificationReport {
                 scenario: request.scenario.clone(),
                 leased: request.leased,
                 verdict: Verdict::Inconclusive(Inconclusive::Cancelled),
@@ -543,7 +662,8 @@ fn run_job(
                 analysis: None,
                 compositional: None,
                 wall_ms: started.elapsed().as_secs_f64() * 1e3,
-            })
+            };
+            (Ok(report), None)
         }
         Some(permit) => {
             conn.shared.active.fetch_add(1, Ordering::SeqCst);
@@ -570,8 +690,8 @@ fn run_job(
                     });
                 })
             };
-            // Capture the passed list only when there is a disk tier
-            // to persist it into — memory holds reports, not proofs.
+            // Capture the passed list only when there is a disk tier to
+            // persist it into; the memory tier only fronts that one.
             let capture = conn.shared.disk.as_ref().map(|_| new_sink());
             let io = ArtifactIo {
                 warm,
@@ -580,16 +700,13 @@ fn run_job(
             let r = request.run_with_artifacts(&token, Some(sink), Some(permit.slots()), &io);
             conn.shared.active.fetch_sub(1, Ordering::SeqCst);
             drop(permit);
-            if let (Ok(report), Some(sink)) = (&r, capture) {
-                if !no_cache && report.verdict == Verdict::Safe {
-                    if let (Some(disk), Some(artifact)) =
-                        (conn.shared.disk.as_ref(), sink.lock().take())
-                    {
-                        disk.put_artifact(&key, &artifact);
-                    }
+            let artifact = match (&r, capture) {
+                (Ok(report), Some(sink)) if !no_cache && report.verdict == Verdict::Safe => {
+                    sink.lock().take().map(Arc::new)
                 }
-            }
-            r
+                _ => None,
+            };
+            (r, artifact)
         }
     };
     conn.shared.jobs.lock().remove(&job_id);
@@ -602,19 +719,37 @@ fn run_job(
             ) {
                 conn.shared.cancelled.fetch_add(1, Ordering::SeqCst);
             }
+            let mut evicted = Vec::new();
             if !no_cache {
                 conn.shared.cache.insert(&key, &report);
-                if let Some(disk) = conn.shared.disk.as_ref() {
-                    disk.put_report(&key, &report);
+                if let Some(artifact) = &artifact {
+                    evicted = conn.shared.artifacts.insert(&key, Arc::clone(artifact));
                 }
             }
             conn.shared.completed.fetch_add(1, Ordering::SeqCst);
+            // The ticket is taken before the reply, so a Stats frame
+            // the client sends after reading it waits for these writes.
+            let persist = (conn.shared.disk.as_ref())
+                .filter(|_| !no_cache && report.verdict.is_conclusive())
+                .map(|disk| (disk, conn.shared.persists.begin()));
             let _ = conn.send(&ServerFrame::Report {
                 id,
-                key,
+                key: key.clone(),
                 cached: false,
-                report,
+                report: report.clone(),
             });
+            if let Some((disk, ticket)) = persist {
+                if let Some(artifact) = &artifact {
+                    disk.put_artifact(&key, artifact);
+                }
+                disk.put_report(&key, &report);
+                conn.shared.persists.end(ticket);
+            }
+            // Freed only now, off the reply's path.
+            drop(evicted);
+            if let (Some(artifact), Some(copier)) = (artifact, &*conn.shared.copier.lock()) {
+                let _ = copier.send((key, artifact));
+            }
         }
         Err(e) => {
             let _ = conn.send(&ServerFrame::Error {

@@ -28,7 +28,10 @@
 //!   digest, so re-verifying an unchanged scenario is a lookup, not a
 //!   zone-graph exploration. Only conclusive reports are cached, and a
 //!   hit is the stored report verbatim (identical to the cold run
-//!   modulo its recorded timings);
+//!   modulo its recorded timings). With a cache directory, reports and
+//!   `Safe` runs' passed-list artifacts also persist across restarts,
+//!   written after the reply, and a bounded memory tier of recent
+//!   artifacts serves warm starts without a file read;
 //! * **lifecycle discipline** ([`daemon`], [`signal`]) — streamed
 //!   progress per request, `Cancel` frames, cancel-on-disconnect, and
 //!   a graceful drain on SIGTERM / `Shutdown` that stops every
@@ -49,7 +52,9 @@ pub mod scheduler;
 pub mod signal;
 pub mod transport;
 
-pub use cache::{strip_timing, CacheStats, DiskCache, DiskStats, ReportCache};
+pub use cache::{
+    strip_timing, ArtifactCache, CacheStats, DiskCache, DiskStats, ReportCache, ARTIFACT_MEM_BYTES,
+};
 pub use client::{Client, SubmitOutcome};
 pub use daemon::{Daemon, DaemonConfig, DaemonHandle};
 pub use protocol::{ClientFrame, DaemonStats, ServerFrame, PROTOCOL_VERSION};

@@ -204,6 +204,21 @@ pub struct DaemonStats {
     pub cache_capacity: usize,
     /// Memory-tier byte bound (`0` = unbounded).
     pub cache_max_bytes: usize,
+    /// Warm starts whose parent artifact the memory artifact tier
+    /// served, with no file read (this and the next four counters stay
+    /// zero when the daemon runs without `--cache-dir`).
+    pub artifact_cache_hits: u64,
+    /// Warm-start lookups the memory artifact tier could not answer
+    /// (the disk tier is asked next).
+    pub artifact_cache_misses: u64,
+    /// Artifacts currently held in memory.
+    pub artifact_cache_entries: usize,
+    /// Artifacts evicted (oldest first) from the memory tier since start.
+    pub artifact_cache_evictions: u64,
+    /// Encoded bytes of the artifacts held in memory.
+    pub artifact_cache_bytes: usize,
+    /// The memory artifact tier's fixed byte budget.
+    pub artifact_cache_max_bytes: usize,
     /// Reports served from the disk tier (all zero when the daemon
     /// runs without `--cache-dir`).
     pub disk_hits: u64,
@@ -215,7 +230,9 @@ pub struct DaemonStats {
     pub disk_artifact_misses: u64,
     /// Corrupt / truncated / stale-version files discarded.
     pub disk_corrupt: u64,
-    /// Files written to the disk tier (reports + artifacts).
+    /// Files written to the disk tier (reports + artifacts). Exact: the
+    /// daemon answers `Stats` once the files of every report sent
+    /// before it are written.
     pub disk_stores: u64,
     /// Files evicted by the disk byte bound.
     pub disk_evictions: u64,
@@ -413,6 +430,9 @@ mod tests {
                     pair_cache_misses: 11,
                     pair_cache_entries: 11,
                     pair_cache_bytes: 1 << 20,
+                    artifact_cache_hits: 4,
+                    artifact_cache_entries: 2,
+                    artifact_cache_max_bytes: crate::cache::ARTIFACT_MEM_BYTES,
                     ..DaemonStats::default()
                 },
             },

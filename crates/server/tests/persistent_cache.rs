@@ -2,7 +2,10 @@
 //! survive daemon restarts, warm starts engage through the wire
 //! protocol, concurrent submits and mid-flight shutdowns never publish
 //! a torn file, and corruption degrades to a cold run — never a wrong
-//! answer.
+//! answer. The daemon writes behind its replies: a warm start right
+//! after its parent's reply is served from memory, a shutdown right
+//! after the last reply still writes every file, and a `Stats` frame
+//! right after a reply counts that reply's writes.
 //!
 //! Each test boots its own daemon on a unique Unix socket and its own
 //! cache directory under the system temp dir.
@@ -17,7 +20,9 @@ use pte_server::DiskCache;
 use pte_verify::api::{BackendSel, Verdict, VerificationRequest};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
+use std::time::Duration;
 
 /// A unique temp path per call (process id + counter keeps parallel
 /// tests apart).
@@ -56,7 +61,7 @@ fn fast_request() -> VerificationRequest {
     VerificationRequest::scenario("case-study").backend(BackendSel::Symbolic)
 }
 
-/// A weakened-monitor variant of a registry chain: same network,
+/// A weakened-monitor variant of a registry scenario: same network,
 /// smaller safeguard minima — the warm-start-admissible delta.
 fn relaxed_chain(name: &str) -> VerificationRequest {
     let scenario = pte_tracheotomy::registry::by_name(name).expect("registry scenario");
@@ -273,22 +278,211 @@ fn corrupt_disk_files_degrade_to_a_cold_run() {
 
     let (endpoint, handle, serving) = boot(&dir);
     let mut client = Client::connect(&endpoint).expect("connect");
+    // The corrupt artifact is rejected by its checksum: a warm request
+    // naming it falls back to cold. It goes first, while the corrupt
+    // file is still the only copy of the parent proof (re-running the
+    // parent would rewrite it, and memory would serve it).
+    let child = relaxed_chain("case-study").warm_from(cold.key.clone());
+    let warm = client.verify(&child).expect("warm verify");
+    assert_eq!(warm.report.verdict, Verdict::Safe);
+    assert_eq!(
+        warm.report
+            .backend("symbolic")
+            .expect("symbolic")
+            .warm_seeded,
+        0,
+        "a corrupt artifact must fall back to cold"
+    );
+    let stats = client.stats().expect("stats");
+    assert_eq!(
+        (
+            stats.disk_corrupt,
+            stats.disk_artifact_hits,
+            stats.disk_artifact_misses
+        ),
+        (1, 0, 1),
+        "the corrupt artifact must be detected and counted: {stats:?}"
+    );
     // The report is detected as corrupt and the search re-runs cold —
     // same verdict, no torn data served.
     let rerun = client.verify(&fast_request()).expect("re-verify");
     assert!(!rerun.cached, "a corrupt file must be a miss");
     assert_eq!(rerun.report.verdict, cold.report.verdict);
-    // The corrupt artifact is rejected by its checksum: a warm request
-    // naming it falls back to cold.
-    let warm = client
-        .verify(&relaxed_chain("chain-2").warm_from(cold.key.clone()))
-        .expect("warm verify");
-    assert_eq!(warm.report.verdict, Verdict::Safe);
     let stats = client.stats().expect("stats");
     assert!(
         stats.disk_corrupt >= 1,
         "corruption must be detected and counted: {stats:?}"
     );
+    assert_eq!(stats.disk_corrupt, 2, "the report too: {stats:?}");
+    // The re-run's fresh proof does transfer to the same child, so the
+    // cold fallback above was the corruption's doing.
+    let again = client.verify_with(&child, true).expect("warm verify");
+    assert!(
+        again
+            .report
+            .backend("symbolic")
+            .expect("symbolic")
+            .warm_seeded
+            > 0
+    );
     stop(&handle, serving);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `body` on a thread of its own and fails the test if it has not
+/// finished within `limit`: a daemon that never answers, or a drain
+/// that never ends, hangs the body, not the suite.
+fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, ended) = mpsc::channel();
+    let worker = thread::spawn(move || {
+        let out = body();
+        let _ = done.send(());
+        out
+    });
+    if let Err(RecvTimeoutError::Timeout) = ended.recv_timeout(limit) {
+        panic!("the test did not finish within {limit:?}");
+    }
+    worker
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+const LIMIT: Duration = Duration::from_secs(300);
+
+#[test]
+fn a_warm_start_right_after_its_parent_reads_no_file() {
+    within(LIMIT, || {
+        let dir = unique_path("cache");
+        let (endpoint, handle, serving) = boot(&dir);
+        let mut client = Client::connect(&endpoint).expect("connect");
+        let parent = client
+            .verify(&VerificationRequest::scenario("chain-2").backend(BackendSel::Symbolic))
+            .expect("parent proof");
+        assert_eq!(parent.report.verdict, Verdict::Safe);
+        let parent_states = parent.report.backend("symbolic").expect("symbolic").states;
+        // Sent as soon as the parent's report arrives, while its files
+        // may still be being written.
+        let warm = client
+            .verify(&relaxed_chain("chain-2").warm_from(parent.key.clone()))
+            .expect("warm verify");
+        assert_eq!(warm.report.verdict, Verdict::Safe);
+        assert_eq!(
+            warm.report
+                .backend("symbolic")
+                .expect("symbolic")
+                .warm_seeded,
+            parent_states,
+            "the whole parent proof must transfer"
+        );
+        let stats = client.stats().expect("stats");
+        assert_eq!(
+            (stats.artifact_cache_hits, stats.artifact_cache_misses),
+            (1, 0),
+            "{stats:?}"
+        );
+        assert_eq!(
+            (stats.disk_artifact_hits, stats.disk_artifact_misses),
+            (0, 0),
+            "no artifact may be read from disk: {stats:?}"
+        );
+        // Both proofs' reports and artifacts still reach disk.
+        assert_eq!((stats.disk_stores, stats.disk_files), (4, 4), "{stats:?}");
+        assert_eq!(stats.artifact_cache_entries, 2);
+        assert!(stats.artifact_cache_bytes <= stats.artifact_cache_max_bytes);
+        stop(&handle, serving);
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+#[test]
+fn shutdown_right_after_the_last_report_persists_every_proof() {
+    within(LIMIT, || {
+        let dir = unique_path("cache");
+        let (endpoint, handle, serving) = boot(&dir);
+        let symbolic =
+            |name: &str| VerificationRequest::scenario(name).backend(BackendSel::Symbolic);
+        let batches = [
+            vec![
+                symbolic("case-study"),
+                symbolic("chain-2"),
+                relaxed_chain("case-study"),
+            ],
+            vec![
+                symbolic("stress-lossy"),
+                relaxed_chain("chain-2"),
+                symbolic("case-study").max_states(123_456),
+            ],
+        ];
+        let clients: Vec<_> = batches
+            .into_iter()
+            .map(|batch| {
+                let endpoint = endpoint.clone();
+                thread::spawn(move || {
+                    let mut c = Client::connect(&endpoint).expect("connect");
+                    let keys: Vec<String> = batch
+                        .iter()
+                        .map(|r| {
+                            let o = c.verify(r).expect("verify");
+                            assert!(!o.cached);
+                            assert_eq!(o.report.verdict, Verdict::Safe);
+                            o.key
+                        })
+                        .collect();
+                    (c, keys)
+                })
+            })
+            .collect();
+        let (mut conns, keys): (Vec<Client>, Vec<Vec<String>>) = clients
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .unzip();
+        // The last report has just arrived; its files may not be written.
+        conns[0].shutdown().expect("shutdown");
+        serving.join().expect("daemon thread");
+        let _ = handle;
+
+        let disk = DiskCache::open(&dir, 0).expect("reopen");
+        let keys: Vec<String> = keys.into_iter().flatten().collect();
+        assert_eq!(keys.len(), 6);
+        for key in &keys {
+            assert!(disk.get_report(key).is_some(), "report {key} is readable");
+            assert!(
+                disk.get_artifact(key).is_some(),
+                "artifact {key} is readable"
+            );
+        }
+        let stats = disk.stats();
+        assert_eq!((stats.corrupt, stats.files), (0, 12), "{stats:?}");
+        for entry in std::fs::read_dir(&dir).expect("read cache dir") {
+            let name = entry.expect("dir entry").file_name();
+            assert!(
+                !name.to_string_lossy().starts_with(".tmp-"),
+                "temp file leaked: {name:?}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+#[test]
+fn stats_right_after_a_report_counts_its_disk_writes() {
+    within(LIMIT, || {
+        let dir = unique_path("cache");
+        let (endpoint, handle, serving) = boot(&dir);
+        let mut client = Client::connect(&endpoint).expect("connect");
+        for i in 0..20u64 {
+            // A new budget is a new key, so every request runs and
+            // stores a report and an artifact.
+            let request = fast_request().max_states(100_000 + i as usize);
+            let outcome = client.verify(&request).expect("verify");
+            assert!(!outcome.cached);
+            assert_eq!(outcome.report.verdict, Verdict::Safe);
+            let stats = client.stats().expect("stats");
+            let written = 2 * (i + 1);
+            assert_eq!(stats.disk_stores, written, "request {i}: {stats:?}");
+            assert_eq!(stats.disk_files as u64, written, "request {i}: {stats:?}");
+        }
+        stop(&handle, serving);
+        let _ = std::fs::remove_dir_all(&dir);
+    });
 }
