@@ -220,7 +220,7 @@ fn bench_passed_compression(_c: &mut Criterion) {
 /// the same chain's lease-stripped falsification. Each timing is the
 /// median of [`RUNS`] runs whose counters (states, transitions,
 /// subsumed, passed bytes; the witness text of a falsification) must be
-/// equal. The unreduced `chain-4` proof (≈ 57k states) is recorded
+/// equal. The unmasked `chain-4` proof (≈ 57k states) is recorded
 /// separately by [`reduction_row`]. The measured rows are printed and
 /// carried into `BENCH_zones.json` by [`emit_bench_json`]; the bench
 /// gate requires the `chain-8` row, so a regression that makes the
@@ -281,16 +281,17 @@ fn chain_scaling_rows() -> Vec<pte_bench::ScalingRow> {
     rows
 }
 
-/// Reduced-vs-unreduced ablation: the chain-4 leased safety proof run
+/// Masked-vs-unmasked ablation: the chain-4 leased safety proof run
 /// with the static analysis pass on (`Limits::reduce_clocks = true`,
-/// the default) and off. Chains are globally clock-irreducible — every
-/// clock is live during the innermost nested lease, so the DBM
-/// dimension is identical across arms — but the per-location activity
-/// masks collapse the idle-device interleavings, and the states/sec
-/// improvement is asserted so the payoff can't silently bit-rot. One
-/// run per arm: the unreduced proof settles ≈ 57k states. Larger
-/// chains make the same point at far greater cost (unreduced chain-6
-/// settles ≈ 477k states in over two minutes), so they are not rerun.
+/// the default) and off. The search explores every network clock
+/// either way, so the DBM dimension is identical across arms and the
+/// row measures the per-location activity masks alone: they collapse
+/// the idle-device interleavings, and the states/sec improvement is
+/// asserted so the payoff can't silently bit-rot. The row keeps its
+/// `reduced`/`unreduced` JSON keys. One run per arm: the unmasked proof
+/// settles ≈ 57k states. Larger chains make the same point at far
+/// greater cost (unmasked chain-6 settles ≈ 477k states in over two
+/// minutes), so they are not rerun.
 fn reduction_row() -> pte_bench::ReductionRow {
     let n = 4usize;
     let cfg = LeaseConfig::chain(n);
@@ -372,10 +373,7 @@ fn compositional_rows() -> (
             max_states: 40_000,
             ..Limits::default()
         },
-        refine: RefineLimits {
-            workers: 2,
-            ..RefineLimits::default()
-        },
+        refine: RefineLimits::default(),
     };
     let mut rows = Vec::new();
     let mut warm = None;
@@ -475,7 +473,7 @@ fn compositional_rows() -> (
 /// Emits `BENCH_zones.json`: best-of-5 wall time of the leased
 /// case-study proof (plus the baseline falsification), settled states,
 /// states/sec, the passed-list byte accounting, the chain scaling
-/// rows, the reduced-vs-unreduced ablation row, and the compositional
+/// rows, the masked-vs-unmasked ablation row, and the compositional
 /// rows.
 fn emit_bench_json(_c: &mut Criterion) {
     let cfg = LeaseConfig::case_study();

@@ -2,9 +2,9 @@
 //! networks.
 //!
 //! Builds and lowers the named registry scenarios (both arms by
-//! default), runs the [static analysis](pte_zones::analysis) — clock
-//! reduction, activity masks, lint diagnostics — and prints every
-//! finding. Exit status is the CI contract: `1` when any diagnostic is
+//! default), runs the [static analysis](pte_zones::analysis) —
+//! redundant clocks, activity masks, lint diagnostics — and prints
+//! every finding. Exit status is the CI contract: `1` when any diagnostic is
 //! `error`-severity, `2` on usage/build failures, `0` otherwise
 //! (warnings and infos never fail the gate).
 //!

@@ -62,8 +62,8 @@ pub struct ScalingRow {
 
 /// One reduced-vs-unreduced measurement pair attached to
 /// `BENCH_zones.json`: the same leased safety proof run with the
-/// static-analysis pass on and off, so the clock-reduction /
-/// activity-mask payoff is a recorded number rather than a claim.
+/// static-analysis pass on and off, so the activity-mask payoff is a
+/// recorded number rather than a claim.
 #[derive(Clone, Debug)]
 pub struct ReductionRow {
     /// Registry scenario name (e.g. `chain-4`).

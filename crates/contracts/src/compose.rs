@@ -352,6 +352,11 @@ fn entity_index(cfg: &LeaseConfig, name: &str) -> Option<usize> {
 /// Builds the abstract network for safeguard pair `k` (`0..n-1`,
 /// protecting entities `k+1` and `k+2`): concrete supervisor, timed
 /// contracts for the pair members, profile-selected contracts elsewhere.
+///
+/// The supervisor keeps its clock indices. The lowering numbers clocks
+/// in network order and the supervisor comes first, so its clocks are
+/// the first of `net`'s; the contract clocks follow them, and the clocks
+/// of the replaced devices are left out.
 fn build_pair_network(
     net: &TaNetwork,
     cfg: &LeaseConfig,
@@ -359,7 +364,14 @@ fn build_pair_network(
     profile: EnvProfile,
 ) -> Result<TaNetwork, String> {
     let (outer, inner) = (k + 1, k + 2);
-    let mut clocks = net.clocks.clone();
+    let supervisor = net
+        .automaton_by_name("supervisor")
+        .map(|i| &net.automata[i])
+        .ok_or("the lowered network has no supervisor")?;
+    let (_, mut clocks) = localize(supervisor, &net.clocks);
+    if net.clocks.get(..clocks.len()) != Some(&clocks[..]) {
+        return Err("the supervisor's clocks are not the network's first".into());
+    }
     let mut automata = Vec::with_capacity(net.automata.len());
     for aut in &net.automata {
         if aut.name == "supervisor" {
@@ -622,4 +634,57 @@ pub fn check_compositional_lowered(
         warm_seeded,
         stutters,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every pair network of every registry scenario, both arms and both
+    /// profiles, holds exactly the supervisor's `N+1` clocks followed by
+    /// its contracts' clocks, so the static analysis finds no clock to
+    /// drop or merge: the engine never searches an orphan clock.
+    #[test]
+    fn pair_networks_hold_only_supervisor_and_contract_clocks() {
+        for s in pte_tracheotomy::registry::registry() {
+            for leased in [true, false] {
+                let sys = build_pattern_system(&s.config, leased).expect("registry arm builds");
+                let net = lower_network(&sys.automata).expect("registry arm lowers");
+                for profile in [EnvProfile::Top, EnvProfile::LeaseClient] {
+                    for k in 0..s.n - 1 {
+                        let at = format!("{} leased={leased} {} pair {k}", s.name, profile.name());
+                        let pair_net = build_pair_network(&net, &s.config, k, profile)
+                            .unwrap_or_else(|e| panic!("{at}: {e}"));
+                        let timed = |j: usize| {
+                            j == k + 1 || j == k + 2 || profile == EnvProfile::LeaseClient
+                        };
+                        let mut expected = net.clocks[..=s.n].to_vec();
+                        for j in (1..=s.n).filter(|&j| timed(j)) {
+                            let device = s.config.entity_name(j);
+                            for c in &lease_client(&s.config, j).clocks {
+                                expected.push(format!("{device}::{c}"));
+                            }
+                        }
+                        assert!(
+                            expected[..=s.n]
+                                .iter()
+                                .all(|c| c.starts_with("supervisor.")),
+                            "{at}: {expected:?}"
+                        );
+                        assert_eq!(pair_net.clocks, expected, "{at}");
+                        let analysis = pte_zones::analyze(&pair_net);
+                        assert!(analysis.reduction.is_identity(), "{at}");
+                    }
+                }
+            }
+        }
+        let top_clocks = |n: usize| {
+            let cfg = LeaseConfig::chain(n);
+            let sys = build_pattern_system(&cfg, true).expect("chain builds");
+            let net = lower_network(&sys.automata).expect("chain lowers");
+            let pair_net = build_pair_network(&net, &cfg, 0, EnvProfile::Top).expect("pair 0");
+            pair_net.clock_count()
+        };
+        assert_eq!((top_clocks(4), top_clocks(20)), (7, 23));
+    }
 }

@@ -17,35 +17,32 @@
 //!   the spec's invariant admits the delayed zone (so the contract never
 //!   *forbids* a dwell the device can perform).
 //!
-//! The exploration is a round-based BFS: each round expands the whole
-//! frontier (sharded over `workers` threads, like `reach.rs`), then admits
-//! successors sequentially in frontier order with zone-inclusion
-//! subsumption. Verdict *and* counter-example text are therefore
-//! bit-identical at any worker count. The checker errs on the side of
-//! refusal (nondeterministic or partially-covering spec guards fail), which
-//! the compositional driver answers with a monolithic fallback — a
-//! conservative refusal can cost performance, never soundness.
+//! The exploration is a round-based BFS on the calling thread: each round
+//! expands the whole frontier, stopping at the first node that fails,
+//! then admits successors in frontier order with zone-inclusion
+//! subsumption. The frontiers of the lease contracts stay tiny (no
+//! registry device's refinement has more than two pairs in a round), so
+//! the checker never shards a round over threads. The checker errs on
+//! the side of refusal (nondeterministic or partially-covering spec
+//! guards fail), which the compositional driver answers with a monolithic
+//! fallback — a conservative refusal can cost performance, never
+//! soundness.
 
 use crate::contract::{Contract, ContractKind};
 use pte_zones::ta::{Sync, TaAutomaton, TaEdge};
 use pte_zones::Dbm;
 use std::collections::{BTreeSet, HashMap};
 
-/// Budget and sharding knobs for one refinement check.
+/// The budget of one refinement check.
 #[derive(Clone, Copy, Debug)]
 pub struct RefineLimits {
     /// Maximum admitted state pairs before giving up.
     pub max_pairs: usize,
-    /// Expansion shards per round (≥ 2 enables the thread pool).
-    pub workers: usize,
 }
 
 impl Default for RefineLimits {
     fn default() -> RefineLimits {
-        RefineLimits {
-            max_pairs: 200_000,
-            workers: 1,
-        }
+        RefineLimits { max_pairs: 200_000 }
     }
 }
 
@@ -66,7 +63,7 @@ pub struct RefineStats {
 pub struct RefineFailure {
     /// One-line machine-greppable reason.
     pub reason: String,
-    /// Full rendered trace (deterministic across worker counts).
+    /// Full rendered trace.
     pub rendered: String,
     /// Counters at the point of failure.
     pub stats: RefineStats,
@@ -317,29 +314,22 @@ impl<'a> Checker<'a> {
 
         while !frontier.is_empty() {
             stats.rounds += 1;
-            let results = self.expand_round(&arena, &frontier, limits.workers);
-            // Failures are reported in frontier order, then edge order —
-            // the expansion itself stops at the first failing edge of a
-            // node, so the earliest (node, edge) failure wins.
-            for (fi, res) in results.iter().enumerate() {
-                if let Err(fail) = res {
-                    return self.fail(
-                        device,
-                        contract,
-                        &arena,
-                        frontier[fi] as isize,
-                        Fail {
-                            reason: fail.reason.clone(),
-                            detail: fail.detail.clone(),
-                        },
-                        stats,
-                    );
+            // The whole round is expanded before any successor is
+            // admitted, and the earliest (node, edge) failure wins: the
+            // expansion itself stops at the first failing edge of a node.
+            let mut results = Vec::with_capacity(frontier.len());
+            for &n in &frontier {
+                match self.expand(&arena[n]) {
+                    Ok(succs) => results.push(succs),
+                    Err(fail) => {
+                        return self.fail(device, contract, &arena, n as isize, fail, stats)
+                    }
                 }
             }
             let mut next: Vec<usize> = Vec::new();
-            for (fi, res) in results.into_iter().enumerate() {
-                let parent = frontier[fi] as isize;
-                for succ in res.unwrap() {
+            for (succs, &parent) in results.into_iter().zip(&frontier) {
+                let parent = parent as isize;
+                for succ in succs {
                     stats.transitions += 1;
                     let key = (succ.qi, succ.qs);
                     let stored = passed.entry(key).or_default();
@@ -365,36 +355,6 @@ impl<'a> Checker<'a> {
             frontier = next;
         }
         RefineOutcome::Holds(stats)
-    }
-
-    fn expand_round(
-        &self,
-        arena: &[Node],
-        frontier: &[usize],
-        workers: usize,
-    ) -> Vec<Result<Vec<Succ>, Fail>> {
-        if workers <= 1 || frontier.len() < 2 * workers {
-            return frontier.iter().map(|&n| self.expand(&arena[n])).collect();
-        }
-        let chunk = frontier.len().div_ceil(workers);
-        let mut out: Vec<Result<Vec<Succ>, Fail>> = Vec::with_capacity(frontier.len());
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = frontier
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move |_| {
-                        part.iter()
-                            .map(|&n| self.expand(&arena[n]))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("refinement shard panicked"));
-            }
-        })
-        .expect("refinement scope panicked");
-        out
     }
 
     /// Expands one admitted pair: every implementation edge must be

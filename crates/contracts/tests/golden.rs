@@ -1,6 +1,8 @@
 //! Golden counters of the compositional argument: the per-stage
-//! [`CompositionalStats`] of leased chain-2…8 and chain-12, each run
-//! cold (empty store) with its pair searches at 1 and 4 workers.
+//! [`CompositionalStats`] of leased chain-2…8 and chain-12 under the
+//! default `top` profile, and of leased chain-2…5 under `lease-client`,
+//! each run cold (empty store) with its pair searches at 1 and 4
+//! workers.
 //!
 //! The stage counters were recorded from the engine before silent
 //! self-loops were counted instead of expanded, so the table also pins
@@ -8,8 +10,8 @@
 //! The stutter counts (`CompositionalOutcome::stutters`) were recorded
 //! with the cover.
 //!
-//! Chains of at most five devices run in the debug suite; the rest run
-//! in release:
+//! Chains of at most five devices under `top`, and of at most four under
+//! `lease-client`, run in the debug suite; the rest run in release:
 //!
 //! ```sh
 //! cargo test --release -p pte-contracts --test golden -- --ignored
@@ -24,13 +26,14 @@ use pte_zones::Limits;
 use std::sync::{Mutex, MutexGuard};
 
 /// The store behind the compositional driver is process-global and
-/// both tests empty it.
+/// every test empties it.
 fn store_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// `(chain length, expected stutters, expected stats)`.
+/// `(chain length, expected stutters, expected stats)` under
+/// [`EnvProfile::Top`].
 #[rustfmt::skip]
 const PINNED: &[(usize, usize, CompositionalStats)] = &[
     (2, 360, CompositionalStats { contracts_total: 2, contracts_checked: 2, contracts_deduped: 0, contracts_cached: 0, refine_pairs: 12, refine_transitions: 22, pair_networks: 1, abstract_states: 360, abstract_transitions: 1836 }),
@@ -43,23 +46,33 @@ const PINNED: &[(usize, usize, CompositionalStats)] = &[
     (12, 208163, CompositionalStats { contracts_total: 12, contracts_checked: 12, contracts_deduped: 0, contracts_cached: 0, refine_pairs: 72, refine_transitions: 122, pair_networks: 11, abstract_states: 6694, abstract_transitions: 240103 }),
 ];
 
-/// A cold compositional proof of leased chain-`n`: its stutter count
-/// and stage counters.
-fn observe(n: usize, workers: usize) -> (usize, CompositionalStats) {
+/// The same under [`EnvProfile::LeaseClient`], which keeps every
+/// device's timed contract in every pair network. These counters were
+/// recorded while pair networks still copied the clocks of the devices
+/// they replace, so the table also pins that dropping those clocks left
+/// every pair search's zone graph as it was.
+#[rustfmt::skip]
+const PINNED_LEASE_CLIENT: &[(usize, usize, CompositionalStats)] = &[
+    (2, 360, CompositionalStats { contracts_total: 2, contracts_checked: 2, contracts_deduped: 0, contracts_cached: 0, refine_pairs: 12, refine_transitions: 22, pair_networks: 1, abstract_states: 360, abstract_transitions: 1836 }),
+    (3, 1801, CompositionalStats { contracts_total: 3, contracts_checked: 3, contracts_deduped: 0, contracts_cached: 0, refine_pairs: 18, refine_transitions: 32, pair_networks: 2, abstract_states: 1801, abstract_transitions: 9446 }),
+    (4, 5517, CompositionalStats { contracts_total: 4, contracts_checked: 4, contracts_deduped: 0, contracts_cached: 0, refine_pairs: 24, refine_transitions: 42, pair_networks: 3, abstract_states: 5517, abstract_transitions: 29291 }),
+    (5, 12898, CompositionalStats { contracts_total: 5, contracts_checked: 5, contracts_deduped: 0, contracts_cached: 0, refine_pairs: 30, refine_transitions: 52, pair_networks: 4, abstract_states: 12898, abstract_transitions: 69163 }),
+];
+
+/// A cold compositional proof of leased chain-`n` under `profile`: its
+/// stutter count and stage counters.
+fn observe(n: usize, profile: EnvProfile, workers: usize) -> (usize, CompositionalStats) {
     let limits = CompositionalLimits {
         search: Limits {
             max_states: 40_000,
             max_workers: workers,
             ..Limits::default()
         },
-        refine: RefineLimits {
-            workers,
-            ..RefineLimits::default()
-        },
+        refine: RefineLimits::default(),
     };
     reset_cache();
-    let out = check_compositional(&LeaseConfig::chain(n), true, EnvProfile::default(), &limits)
-        .expect("chain lowers");
+    let out =
+        check_compositional(&LeaseConfig::chain(n), true, profile, &limits).expect("chain lowers");
     assert!(
         matches!(out.verdict, CompositionalVerdict::Safe),
         "chain-{n}: {:?}",
@@ -69,17 +82,17 @@ fn observe(n: usize, workers: usize) -> (usize, CompositionalStats) {
     (out.stutters, out.stats)
 }
 
-fn check_chains(ns: &[usize]) {
+fn check_chains(profile: EnvProfile, table: &[(usize, usize, CompositionalStats)], ns: &[usize]) {
     let _store = store_lock();
     let mut observed = Vec::new();
     let mut wrong = Vec::new();
     for &n in ns {
-        let pinned = PINNED
+        let pinned = table
             .iter()
             .find(|(m, _, _)| *m == n)
             .map(|(_, stutters, s)| (*stutters, s.clone()));
         for workers in [1usize, 4] {
-            let got = observe(n, workers);
+            let got = observe(n, profile, workers);
             if pinned.as_ref() != Some(&got) {
                 wrong.push(format!("chain-{n} workers={workers}"));
             }
@@ -98,11 +111,22 @@ fn check_chains(ns: &[usize]) {
 
 #[test]
 fn chains_up_to_five_devices_match_the_golden_counters() {
-    check_chains(&[2, 3, 4, 5]);
+    check_chains(EnvProfile::Top, PINNED, &[2, 3, 4, 5]);
 }
 
 #[test]
 #[ignore = "release-only: cargo test --release -p pte-contracts --test golden -- --ignored"]
 fn longer_chains_match_the_golden_counters() {
-    check_chains(&[6, 7, 8, 12]);
+    check_chains(EnvProfile::Top, PINNED, &[6, 7, 8, 12]);
+}
+
+#[test]
+fn lease_client_chains_up_to_four_devices_match_the_golden_counters() {
+    check_chains(EnvProfile::LeaseClient, PINNED_LEASE_CLIENT, &[2, 3, 4]);
+}
+
+#[test]
+#[ignore = "release-only: cargo test --release -p pte-contracts --test golden -- --ignored"]
+fn lease_client_chain_5_matches_the_golden_counters() {
+    check_chains(EnvProfile::LeaseClient, PINNED_LEASE_CLIENT, &[5]);
 }

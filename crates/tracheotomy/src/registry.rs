@@ -60,12 +60,11 @@ pub struct Scenario {
     /// every `--scenario` consumer (campaign, zprobe) scales its
     /// default budget from, so a future shift in the engine's search
     /// cannot silently turn one tool's default inconclusive. The
-    /// budgets deliberately keep the *pre-reduction* headroom (PR 2
-    /// measured `chain-6` ≈ 477k settled states; the static clock
-    /// reduction and activity masks of PR 7 cut that to ≈ 8k, with
-    /// `chain-7` ≈ 13k and `chain-8` ≈ 20k) because a falsification
-    /// re-derives its witness on the unreduced network under the same
-    /// budget.
+    /// budgets deliberately keep the headroom of a search without the
+    /// activity masks (`chain-6` settles ≈ 477k states unmasked; the
+    /// masks cut that to ≈ 8k, with `chain-7` ≈ 13k and `chain-8` ≈ 20k)
+    /// because a falsification re-derives its witness without the masks
+    /// under the same budget.
     pub recommended_budget: usize,
 }
 

@@ -371,18 +371,18 @@ impl Default for Verdict {
 }
 
 /// What the [static model analysis](pte_zones::analysis) found about
-/// the verified network — clock reduction results and lint counts,
+/// the verified network — redundant clocks and lint counts,
 /// attached to every report whose system lowers (`pte-lint` renders the
 /// full diagnostics; the report carries the summary).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AnalysisSummary {
-    /// Network clocks before the global clock reduction.
+    /// Network clocks, all of which the search explores.
     pub clocks_before: usize,
-    /// Network clocks after dropping unread and merging equivalent ones.
+    /// Network clocks less the redundant ones.
     pub clocks_after: usize,
-    /// Clocks dropped (never read by a reachable guard or invariant).
+    /// Clocks never read by a reachable guard or invariant.
     pub clocks_dropped: usize,
-    /// Clocks merged into an equivalent representative.
+    /// Clocks always equal to a lower-indexed representative.
     pub clocks_merged: usize,
     /// Discretely unreachable locations across all automata.
     pub locations_unreachable: usize,
@@ -1173,12 +1173,6 @@ impl VerificationRequest {
                     .budget
                     .refine_pairs
                     .unwrap_or(RefineLimits::default().max_pairs),
-                workers: match limits.max_workers {
-                    0 => std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1),
-                    w => w,
-                },
             },
         };
         // `warm_start(false)` forces every pair search cold too.

@@ -28,8 +28,7 @@ use crate::ta::TaNetwork;
 pub(super) const MAX_MASKED_CLOCKS: usize = 64;
 
 /// Per-(automaton, location) dead-clock bitmasks over a network's
-/// clock space (the **reduced** space when computed from a reduced
-/// network).
+/// clock space.
 #[derive(Clone, Debug)]
 pub struct ActivityMasks {
     /// `dead[ai][loc]` — bit `c - 1` set ⇔ clock `c` (1-based) is

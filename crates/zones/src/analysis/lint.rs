@@ -11,7 +11,8 @@
 //!   edges that can never fire or never complete). Often intentional
 //!   fallout of register folding, but worth a look.
 //! * [`Severity::Info`] — observations (receiver-less sends, registers
-//!   folded to constants, clocks the reduction dropped or merged).
+//!   folded to constants, clocks nothing reads or that always equal
+//!   another).
 
 use super::clocks::ClockReduction;
 use super::reachable::{atoms_satisfiable, NetReachability};
@@ -336,8 +337,8 @@ fn parse_mode_suffix(name: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// `unread-clock` / `duplicate-clock` (info): what the global clock
-/// reduction found.
+/// `unread-clock` / `duplicate-clock` (info): the redundant clocks
+/// [`ClockReduction`] found. The engine still searches them.
 fn reduced_clocks(net: &TaNetwork, red: &ClockReduction, out: &mut Vec<Diagnostic>) {
     for &c in &red.dropped {
         out.push(Diagnostic {
@@ -347,7 +348,7 @@ fn reduced_clocks(net: &TaNetwork, red: &ClockReduction, out: &mut Vec<Diagnosti
             site: None,
             message: format!(
                 "clock `{}` is never read by a reachable guard or invariant; \
-                 the reduction drops it",
+                 the model could drop it",
                 net.clocks[c - 1]
             ),
         });
@@ -360,7 +361,7 @@ fn reduced_clocks(net: &TaNetwork, red: &ClockReduction, out: &mut Vec<Diagnosti
             site: None,
             message: format!(
                 "clock `{}` always equals `{}` (reset together by the same live edges); \
-                 the reduction merges them",
+                 the model could merge them",
                 net.clocks[dup - 1],
                 net.clocks[rep - 1]
             ),

@@ -3,44 +3,43 @@
 //! Runs once per model, after [`crate::lower::lower_network`] and
 //! before [`crate::reach::check`], and produces three artifacts:
 //!
-//! 1. **Clock reduction** ([`ClockReduction`], the Reveaal/ECDAR pass):
-//!    clocks never read by any reachable guard or invariant are
-//!    dropped, and clocks that are provably equal forever — reset by
-//!    exactly the same live edges to the same values, hence never
-//!    diverging — are merged onto one representative. The result is an
-//!    index remapping ([`TaNetwork::apply_clock_map`]) that shrinks the
-//!    DBM dimension the engine pays O(k²)–O(k³) for.
-//! 2. **Activity masks** ([`ActivityMasks`], UPPAAL's active-clock
+//! 1. **Activity masks** ([`ActivityMasks`], UPPAAL's active-clock
 //!    reduction): a backward liveness dataflow per automaton computes,
 //!    for every location, which of the automaton's clocks may still be
 //!    read before their next reset. The engine frees dead clocks per
 //!    state ([`crate::dbm::Dbm::free`]), collapsing zones that differ
-//!    only in dead-clock history.
+//!    only in dead-clock history. These masks are the only thing the
+//!    analysis changes about a search.
+//! 2. **Redundant clocks** ([`ClockReduction`], the two rules of the
+//!    Reveaal/ECDAR clock-reduction pass): clocks never read by any
+//!    reachable guard or invariant, and clocks that are provably equal
+//!    forever — reset by exactly the same live edges to the same
+//!    values, hence never diverging. They are reported, not removed:
+//!    the engine searches every clock of the network as lowered.
 //! 3. **Lint diagnostics** ([`lint::Diagnostic`]): unreachable
 //!    locations, statically unsatisfiable guards, dead edges,
-//!    receiver-less sends, registers folded to constants, and activity
-//!    masks switched off on networks wider than 64 clocks — surfaced by
-//!    the `pte-lint` binary and attached to verification reports.
+//!    receiver-less sends, registers folded to constants, redundant
+//!    clocks, and activity masks switched off on networks wider than
+//!    64 clocks — surfaced by the `pte-lint` binary and attached to
+//!    verification reports.
 //!
-//! Soundness contract: every transformation here preserves the
-//! verdict of the reachability check bit-for-bit. Dropped clocks are
-//! unread, merged clocks are equal in every reachable valuation, and
-//! freed clocks are dead (unread before their next reset), so no
-//! guard, invariant, or observer constraint ever sees a different
-//! value. Counter-example *traces* are additionally pinned by the
-//! engine itself: [`crate::reach::check`] re-derives any violation
-//! with the reduction disabled, so witness text is identical by
-//! construction (see `Limits::reduce_clocks`).
+//! Soundness contract: the masks preserve the verdict of the
+//! reachability check bit-for-bit. A freed clock is dead (unread
+//! before its next reset), so no guard, invariant, or observer
+//! constraint ever sees a different value. Counter-example *traces*
+//! are additionally pinned by the engine itself: [`crate::reach::check`]
+//! re-derives any violation without the masks, so witness text is
+//! identical by construction (see `Limits::reduce_clocks`).
 //!
-//! On the paper's own chain models the honest finding is that the
-//! **global** pass reduces nothing: during the innermost nested lease
-//! every supervisor stage timer `g_k`, the phase clock `c`, and every
-//! device clock are simultaneously live — the pattern's concurrency is
-//! exactly what the paper verifies. The measured win on chains comes
-//! from the *per-location* masks (device clocks are dead in
-//! `Fall-Back`, stage timers before their grant), while the global
-//! pass pays off on models with genuinely redundant clocks (the lint
-//! fixtures and proptest-generated networks exercise both).
+//! On the paper's own chain models the honest finding is that no clock
+//! is redundant: during the innermost nested lease every supervisor
+//! stage timer `g_k`, the phase clock `c`, and every device clock are
+//! simultaneously live — the pattern's concurrency is exactly what the
+//! paper verifies. The same holds for every registry model and every
+//! compositional pair network. The measured win on chains comes from
+//! the *per-location* masks (device clocks are dead in `Fall-Back`,
+//! stage timers before their grant); the lint fixtures and
+//! proptest-generated networks exercise the redundant-clock rules.
 
 mod activity;
 mod clocks;
@@ -60,11 +59,11 @@ use crate::ta::TaNetwork;
 pub struct ModelAnalysis {
     /// Discrete reachability / dead-edge classification.
     pub reachability: NetReachability,
-    /// The global clock reduction (identity when nothing is redundant).
+    /// The redundant clocks (identity when nothing is redundant).
     pub reduction: ClockReduction,
-    /// Per-(automaton, location) dead-clock masks **over the reduced
-    /// clock space** (the space the engine explores when the reduction
-    /// is enabled).
+    /// Per-(automaton, location) dead-clock masks over the network's
+    /// clocks, which the search frees when [`crate::Limits::reduce_clocks`]
+    /// is on.
     pub activity: ActivityMasks,
     /// Structured lint findings, in deterministic model order.
     pub diagnostics: Vec<Diagnostic>,
@@ -74,13 +73,14 @@ pub struct ModelAnalysis {
 /// verification reports and bench records.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
-    /// Network clocks before the global reduction.
+    /// Network clocks, all of which the search explores.
     pub clocks_before: usize,
-    /// Network clocks after dropping/merging.
+    /// Network clocks less the redundant ones: the DBM dimension a
+    /// clock-reducing search would need.
     pub clocks_after: usize,
-    /// Clocks dropped because nothing reachable reads them.
+    /// Clocks nothing reachable reads.
     pub clocks_dropped: usize,
-    /// Clocks merged into an always-equal representative.
+    /// Clocks always equal to a lower-indexed representative.
     pub clocks_merged: usize,
     /// Statically unreachable locations across all automata.
     pub locations_unreachable: usize,
@@ -104,7 +104,9 @@ impl ModelAnalysis {
             }
         }
         AnalysisStats {
-            clocks_before: self.reduction.map.len().saturating_sub(1),
+            clocks_before: self.reduction.kept.len()
+                + self.reduction.dropped.len()
+                + self.reduction.merged.len(),
             clocks_after: self.reduction.kept.len(),
             clocks_dropped: self.reduction.dropped.len(),
             clocks_merged: self.reduction.merged.len(),
@@ -132,26 +134,23 @@ impl ModelAnalysis {
 /// Runs the full static analysis over a lowered network.
 ///
 /// Deterministic: iteration is in model order everywhere, so the same
-/// network always produces the same diagnostics, reduction, and masks.
+/// network always produces the same diagnostics, redundant clocks, and
+/// masks.
 pub fn analyze(net: &TaNetwork) -> ModelAnalysis {
     let reachability = NetReachability::compute(net);
     let reduction = ClockReduction::compute(net, &reachability);
-    // Liveness runs over the *reduced* network (reads of merged clocks
-    // land on their representative), reusing the reachability — the
-    // discrete structure is untouched by the clock map.
-    let reduced = reduction.apply(net);
-    let activity = ActivityMasks::compute(&reduced, &reachability);
+    let activity = ActivityMasks::compute(net, &reachability);
     let mut diagnostics = lint::lint(net, &reachability, &reduction);
-    if reduced.clock_count() > MAX_MASKED_CLOCKS {
+    if net.clock_count() > MAX_MASKED_CLOCKS {
         diagnostics.push(Diagnostic {
             severity: Severity::Warning,
             code: "masks-disabled",
             automaton: None,
             site: None,
             message: format!(
-                "{} clocks after reduction exceed the {MAX_MASKED_CLOCKS} the activity masks \
-                 cover; the search will not free dead clocks",
-                reduced.clock_count()
+                "{} clocks exceed the {MAX_MASKED_CLOCKS} the activity masks cover; the search \
+                 will not free dead clocks",
+                net.clock_count()
             ),
         });
     }

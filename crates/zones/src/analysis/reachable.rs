@@ -1,6 +1,6 @@
 //! Discrete-graph reachability with event support.
 //!
-//! The clock reduction and the lint pass both need to know which
+//! The redundant-clock rules and the lint pass both need to know which
 //! locations and edges can ever participate in a run. This module
 //! computes a sound **over-approximation** of per-automaton
 //! reachability: an edge is assumed fireable whenever its guard is

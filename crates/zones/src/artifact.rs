@@ -193,8 +193,9 @@ pub struct PassedArtifact {
     pub nclocks: usize,
     /// Extrapolation operator the search ran with.
     pub extrapolation: Extrapolation,
-    /// `true` when the capture run had the static clock reduction on
-    /// (informational — the digests below are what gate reuse).
+    /// `true` when the capture run had the static analysis, and with it
+    /// the activity masks, on (informational — the digests below are
+    /// what gate reuse).
     pub reduce_clocks: bool,
     /// Structural digest of the lowered network, constants excluded
     /// ([`net_structure_digest`]).
@@ -470,11 +471,16 @@ impl<'a> Reader<'a> {
 impl PassedArtifact {
     /// Serializes into the versioned, checksummed binary format:
     /// `magic · version · fnv1a64(payload) · payload`, everything
-    /// little-endian and fixed-width.
+    /// little-endian and fixed-width. Writes one buffer of exactly
+    /// [`PassedArtifact::encoded_len`] bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer {
-            buf: Vec::with_capacity(64 + self.entries.len() * 64),
+            buf: Vec::with_capacity(self.encoded_len()),
         };
+        w.buf.extend_from_slice(&MAGIC);
+        w.u32(ARTIFACT_VERSION);
+        // The checksum of the payload, patched in once it is written.
+        w.u64(0);
         w.u32(self.nclocks as u32);
         w.u8(self.extrapolation.tag());
         // Bits 1 and 2 are retired: written as 0 and ignored on read,
@@ -511,12 +517,9 @@ impl PassedArtifact {
                 w.i64(c.b.raw());
             }
         }
-        let payload = w.buf;
-        let mut out = Vec::with_capacity(16 + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = w.buf;
+        let checksum = fnv1a64(&out[16..]);
+        out[8..16].copy_from_slice(&checksum.to_le_bytes());
         out
     }
 
@@ -713,6 +716,11 @@ mod tests {
             let art = random_artifact(seed);
             let bytes = art.to_bytes();
             assert_eq!(bytes.len(), art.encoded_len(), "seed {seed}");
+            assert_eq!(
+                bytes.capacity(),
+                bytes.len(),
+                "seed {seed}: one exact buffer"
+            );
             let back = PassedArtifact::from_bytes(&bytes).unwrap_or_else(|e| {
                 panic!("seed {seed}: round-trip parse failed: {e}");
             });

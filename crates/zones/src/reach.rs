@@ -65,12 +65,12 @@
 //!   round `r` has a path (the steps from the seed to it) of the same
 //!   length, so a violation under a greater path has a greater step
 //!   list. [`check`] with the static analysis on (the default) uses
-//!   this on every falsification. Its reduced search decides only the
+//!   this on every falsification. Its masked search decides only the
 //!   verdict: workers stop claiming entries at the first violation and
-//!   nothing is rendered. The witness then comes from the unreduced
-//!   rerun, which expands rounds `< r` in full and round `r` on the
-//!   calling thread, in groups of equal paths, least path first,
-//!   stopping after the first group that yields a violation. That
+//!   nothing is rendered. The witness then comes from a rerun without
+//!   the activity masks, which expands rounds `< r` in full and round
+//!   `r` on the calling thread, in groups of equal paths, least path
+//!   first, stopping after the first group that yields a violation. That
 //!   group's least trace is the round's, at every worker count; a round
 //!   without a violation is expanded in full and the search goes on;
 //! * budget checks run at round boundaries only, so `OutOfBudget`
@@ -292,14 +292,9 @@ pub struct SearchStats {
     /// `peak_passed_bytes_full / peak_passed_bytes` is the measured
     /// compression factor (asserted ≥ 2× in `bench/benches/zones.rs`).
     pub peak_passed_bytes_full: usize,
-    /// DBM clock dimensions the search actually explored (network plus
-    /// observer clocks, *after* the static clock reduction when
-    /// [`Limits::reduce_clocks`] is on).
+    /// DBM clock dimensions the search explored: the network's clocks
+    /// plus the monitor's observer clocks.
     pub dbm_clocks: usize,
-    /// DBM clock dimensions the unreduced network would have used.
-    /// Equal to [`SearchStats::dbm_clocks`] when reduction is off or
-    /// found nothing to drop.
-    pub dbm_clocks_unreduced: usize,
     /// Passed-list entries admitted from a prior run's artifact
     /// ([`Limits::warm_start`]). Non-zero only when the warm-start
     /// gates all passed and the search was answered by proof transfer;
@@ -429,17 +424,15 @@ pub struct Limits {
     /// with settled/frontier counts and elapsed wall time.
     pub progress: Option<ProgressFn>,
     /// Run the [static model analysis](crate::analysis) before the
-    /// search ([`check`] only): drop/merge provably redundant network
-    /// clocks (shrinking every DBM) and free per-location dead clocks
-    /// during exploration, exactly as the monitor already does for its
-    /// observer clocks. On by default; the verdict and the
-    /// counter-example text are identical either way. The reduced
-    /// search only decides a falsification's verdict, stopping at its
-    /// first violation; the witness is re-derived on the unreduced
-    /// network, which runs the rounds before the violating one in full
-    /// and that round least path first (see the module's
-    /// "Determinism" section), so witnesses never mention a remapped
-    /// clock.
+    /// search ([`check`] only) and free the per-location dead clocks of
+    /// its activity masks during exploration, exactly as the monitor
+    /// already does for its observer clocks. On by default; the verdict
+    /// and the counter-example text are identical either way. The
+    /// masked search only decides a falsification's verdict, stopping
+    /// at its first violation; the witness is re-derived by a search
+    /// without masks, which runs the rounds before the violating one in
+    /// full and that round least path first (see the module's
+    /// "Determinism" section).
     pub reduce_clocks: bool,
     /// Ignored; nothing reads it. It once switched a device-permutation
     /// symmetry quotient, which could never engage on a PTE check: the
@@ -768,9 +761,9 @@ struct Engine<'s> {
     /// no resets whose emissions fit one cascade: the shape of a silent
     /// firing ([`Engine::silent`]).
     bare_loop: Vec<Vec<bool>>,
-    /// Per-location dead-clock masks over the *network's* clock space
-    /// (already in `net`'s indices when `net` is a reduced network).
-    /// `None` when reduction is off or the masks are trivial.
+    /// Per-location dead-clock masks over the network's clock space.
+    /// `None` when [`Limits::reduce_clocks`] is off or the masks are
+    /// trivial.
     masks: Option<&'s ActivityMasks>,
     shards: Vec<Mutex<Shard>>,
     goal: Goal,
@@ -810,60 +803,41 @@ pub(crate) fn check_analyzed(
         return check(net, spec, limits);
     }
 
-    // Static analysis first: drop/merge provably redundant network
-    // clocks (smaller DBMs on every operation) and collect per-location
-    // dead-clock masks for the search to free, the same collapse the
-    // monitor already applies to its own observer clocks.
-    let reduced;
-    let rnet: &TaNetwork = if analysis.reduction.is_identity() {
-        net
-    } else {
-        reduced = analysis.reduction.apply(net);
-        &reduced
-    };
-    let monitor = PteMonitor::new(rnet, spec)?;
+    // The analysis's per-location dead-clock masks, for the search to
+    // free: the same collapse the monitor already applies to its own
+    // observer clocks.
+    let monitor = PteMonitor::new(net, spec)?;
     let masks = (analysis.activity.clocks != 0 && !analysis.activity.is_trivial())
         .then_some(&analysis.activity);
 
-    // The reduced search is the fast path for proofs. For a
+    // The masked search is the fast path for proofs. For a
     // falsification it only decides the verdict: its workers stop at
     // the first violation and render nothing, because the witness is
-    // re-derived on the unreduced network, so the counter-example text
-    // (clock names, zone constraints, step list) is byte-identical to a
-    // run with the analysis off: the engine's determinism guarantee
-    // extended across the knob.
-    match check_monitored_with(rnet, &monitor, limits, masks, Goal::Verdict)? {
+    // re-derived without masks, so the counter-example text (zone
+    // constraints, step list) is byte-identical to a run with the
+    // analysis off: the engine's determinism guarantee extended across
+    // the knob.
+    match check_monitored_with(net, &monitor, limits, masks, Goal::Verdict)? {
         Outcome::Violated(round) => {
             let mut legacy = limits.clone();
             legacy.reduce_clocks = false;
-            // The rerun exists only to render the counter-example on
-            // the unreduced network: it must neither consume the warm
-            // artifact (captured on the *reduced* network) nor emit one.
+            // The rerun exists only to render the counter-example: it
+            // must neither consume the warm artifact (captured with
+            // masks) nor emit one.
             legacy.warm_start = None;
             legacy.capture = None;
             // Freeing dead clocks never removes a reachable violation,
-            // so the rerun finds one too, and the reduced search's
+            // so the rerun finds one too, and the masked search's
             // round is its hint: the rerun takes that round's entries
             // least path first and stops after the first group of equal
             // paths that violates. If the hint is wrong, the rerun expands the whole round
             // and goes on as an unhinted search would; if it trips a
             // budget first, that inconclusive verdict is returned as-is
             // — conservative, never wrong.
-            let monitor = PteMonitor::new(net, spec)?;
             check_monitored_with(net, &monitor, &legacy, None, Goal::WitnessAt(round))
                 .map(Outcome::verdict)
         }
-        Outcome::Done(SymbolicVerdict::Safe(mut stats)) => {
-            stats.dbm_clocks_unreduced = net.clock_count() + monitor.clock_names().len();
-            Ok(SymbolicVerdict::Safe(stats))
-        }
-        Outcome::Done(SymbolicVerdict::OutOfBudget { mut stats, tripped }) => {
-            stats.dbm_clocks_unreduced = net.clock_count() + monitor.clock_names().len();
-            Ok(SymbolicVerdict::OutOfBudget { stats, tripped })
-        }
-        // Unreachable: a verdict-only search reports a violation as
-        // `Violated`.
-        Outcome::Done(v @ SymbolicVerdict::Unsafe(_)) => Ok(v),
+        Outcome::Done(verdict) => Ok(verdict),
     }
 }
 
@@ -1112,7 +1086,6 @@ fn try_warm_start(
         states: art.entries.len(),
         warm_seeded: art.entries.len(),
         dbm_clocks: nclocks,
-        dbm_clocks_unreduced: nclocks,
         ..SearchStats::default()
     })
 }
@@ -1271,10 +1244,7 @@ impl Engine<'_> {
     fn drive(&self, sync: &RoundSync, limits: &Limits, helpers: usize) -> Outcome {
         let started = Instant::now();
         let mut stats = SearchStats {
-            // `check` overwrites the unreduced count when it ran the
-            // reduction; on the direct path both are the real dimension.
             dbm_clocks: self.nclocks,
-            dbm_clocks_unreduced: self.nclocks,
             ..SearchStats::default()
         };
         let mut pool = DbmPool::new();
@@ -2391,13 +2361,13 @@ mod tests {
         LoweredPattern::new(&s.config, leased).expect("registry arm lowers")
     }
 
-    /// One search of `p` toward `goal`: on the reduced network with its
-    /// activity masks, set up as [`check_analyzed`] does, or on the
-    /// unreduced network. Returns the outcome and every round-boundary
-    /// progress snapshot as `(round, settled, frontier)`.
+    /// One search of `p` toward `goal`: with the activity masks, set up
+    /// as [`check_analyzed`] does, or without them. Returns the outcome
+    /// and every round-boundary progress snapshot as `(round, settled,
+    /// frontier)`.
     fn search(
         p: &LoweredPattern,
-        reduce: bool,
+        masked: bool,
         workers: usize,
         goal: Goal,
     ) -> (Outcome, Vec<(usize, usize, usize)>) {
@@ -2411,22 +2381,11 @@ mod tests {
             ..Limits::default()
         };
         let analysis = p.analysis();
-        let reduced;
-        let (net, masks) = if !reduce {
-            (&p.net, None)
-        } else {
-            let masks = (analysis.activity.clocks != 0 && !analysis.activity.is_trivial())
-                .then_some(&analysis.activity);
-            if analysis.reduction.is_identity() {
-                (&p.net, masks)
-            } else {
-                reduced = analysis.reduction.apply(&p.net);
-                (&reduced, masks)
-            }
-        };
-        let monitor = PteMonitor::new(net, &p.spec).expect("registry spec");
-        let outcome =
-            check_monitored_with(net, &monitor, &limits, masks, goal).expect("registry arm checks");
+        let masks = (masked && analysis.activity.clocks != 0 && !analysis.activity.is_trivial())
+            .then_some(&analysis.activity);
+        let monitor = PteMonitor::new(&p.net, &p.spec).expect("registry spec");
+        let outcome = check_monitored_with(&p.net, &monitor, &limits, masks, goal)
+            .expect("registry arm checks");
         let seen = seen.lock().clone();
         (outcome, seen)
     }
@@ -2491,8 +2450,8 @@ mod tests {
 
     /// On a `Safe` model every hinted round is expanded in full, so any
     /// hint, past the last round included, yields the same statistics.
-    /// The reduced network keeps the test fast (368 states, not 3 494);
-    /// the hinted round does not depend on the network.
+    /// The activity masks keep the test fast (368 states, not 3 494);
+    /// the hinted round does not depend on the masks.
     #[test]
     fn any_hint_on_a_safe_model_changes_nothing() {
         let p = arm("case-study", true);

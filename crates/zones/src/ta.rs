@@ -274,85 +274,6 @@ impl TaNetwork {
         }
         lu
     }
-
-    /// Rewrites the network's global clock space through a clock map
-    /// produced by the static analysis
-    /// ([`crate::analysis::ClockReduction`]).
-    ///
-    /// `map` has one entry per 1-based clock index (`map[0]` is the DBM
-    /// reference and must be `Some(0)`): `map[i] = Some(r)` renames old
-    /// clock `i` to new index `r`, `None` drops it. Several old clocks
-    /// may map to the same new index (duplicate-clock merging); the new
-    /// clock keeps the name of the **lowest-indexed** member of each
-    /// merged group. Dropped clocks must be unread — guard/invariant
-    /// atoms over them are discarded (the reduction only drops clocks it
-    /// proved unread, so nothing observable is lost) and their resets
-    /// vanish. Resets that land on the same new clock after merging are
-    /// deduplicated (merged clocks reset together with equal values by
-    /// construction).
-    pub fn apply_clock_map(&self, map: &[Option<usize>]) -> TaNetwork {
-        assert_eq!(map.len(), self.clock_count() + 1, "clock map length");
-        assert_eq!(map[0], Some(0), "the DBM reference clock cannot move");
-        // New clock names: for each new index, the first (lowest old
-        // index) clock mapping to it.
-        let new_count = map.iter().flatten().copied().max().unwrap_or(0);
-        let mut clocks = vec![String::new(); new_count];
-        for (old, m) in map.iter().enumerate().skip(1) {
-            if let Some(r) = m {
-                if clocks[r - 1].is_empty() {
-                    clocks[r - 1] = self.clocks[old - 1].clone();
-                }
-            }
-        }
-        let map_atoms = |atoms: &[Atom]| -> Vec<Atom> {
-            atoms
-                .iter()
-                .filter_map(|a| map[a.clock].map(|clock| Atom { clock, ..*a }))
-                .collect()
-        };
-        let automata = self
-            .automata
-            .iter()
-            .map(|aut| TaAutomaton {
-                name: aut.name.clone(),
-                locations: aut
-                    .locations
-                    .iter()
-                    .map(|l| TaLocation {
-                        name: l.name.clone(),
-                        invariant: map_atoms(&l.invariant),
-                        frozen: l.frozen,
-                        risky: l.risky,
-                    })
-                    .collect(),
-                edges: aut
-                    .edges
-                    .iter()
-                    .map(|e| {
-                        let mut resets: Vec<(usize, i64)> = Vec::with_capacity(e.resets.len());
-                        for &(c, v) in &e.resets {
-                            if let Some(r) = map[c] {
-                                if !resets.iter().any(|&(rc, _)| rc == r) {
-                                    resets.push((r, v));
-                                }
-                            }
-                        }
-                        TaEdge {
-                            src: e.src,
-                            dst: e.dst,
-                            guard: map_atoms(&e.guard),
-                            resets,
-                            sync: e.sync.clone(),
-                            emits: e.emits.clone(),
-                            urgent: e.urgent,
-                        }
-                    })
-                    .collect(),
-                initial: aut.initial,
-            })
-            .collect();
-        TaNetwork { clocks, automata }
-    }
 }
 
 /// Per-clock lower/upper comparison constants feeding

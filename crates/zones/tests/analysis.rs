@@ -1,13 +1,15 @@
-//! Static model analysis: lint fixtures, clock-reduction fixtures, and
-//! reduced-vs-unreduced agreement on perturbed chains.
+//! Static model analysis: lint fixtures, redundant-clock fixtures, and
+//! agreement of searches with and without activity masks on perturbed
+//! chains.
 //!
 //! The fixtures are deliberately *broken* models — an unreachable
 //! location, a statically unsatisfiable guard — that `pte-lint` (which
 //! renders exactly the [`analyze`] output asserted here) must flag
 //! with the right severity, plus a clean model that must lint to zero
-//! diagnostics. The agreement proptests pin the PR's hard correctness
-//! requirement: verdicts and counter-example text are bit-identical
-//! with clock reduction on and off, at every worker count.
+//! diagnostics. The agreement proptests pin the analysis's hard
+//! correctness requirement: verdicts and counter-example text are
+//! bit-identical with the analysis (`Limits::reduce_clocks`) on and
+//! off, at every worker count.
 
 use proptest::prelude::*;
 use pte_core::pattern::LeaseConfig;
@@ -159,9 +161,9 @@ fn clean_model_lints_empty() {
     assert_eq!(a.stats().clocks_before, a.stats().clocks_after);
 }
 
-/// Clock-reduction fixture: one clock nothing reads (dropped) and two
-/// clocks always reset together by the same edges (merged) — the
-/// lowered model keeps 1 of 3, and the info diagnostics say why.
+/// Redundant-clock fixture: one clock nothing reads and two clocks
+/// always reset together by the same edges — 1 of 3 would do, and the
+/// info diagnostics say why.
 #[test]
 fn reduction_drops_unread_and_merges_duplicate_clocks() {
     let net = single(
@@ -193,31 +195,26 @@ fn reduction_drops_unread_and_merges_duplicate_clocks() {
     );
     assert!(a.diagnostics.iter().any(|d| d.code == "unread-clock"));
     assert!(a.diagnostics.iter().any(|d| d.code == "duplicate-clock"));
-
-    // The reduced network really shrinks, and re-analyzing it finds
-    // nothing further (the reduction is idempotent).
-    let reduced = a.reduction.apply(&net);
-    assert_eq!(reduced.clock_count(), 1);
-    assert!(analyze(&reduced).reduction.is_identity());
 }
 
-/// The paper's chain models are clock-irreducible *globally* (every
-/// clock is live during the innermost nested lease), while their
+/// Every registry model, both arms, is clock-irreducible *globally*
+/// (every clock is live during the innermost nested lease), while its
 /// per-location activity masks are non-trivial — the documented honest
-/// finding the engine's measured win rests on.
+/// finding the engine's measured win rests on, and the reason the
+/// engine searches every clock as lowered.
 #[test]
-fn chain_models_are_globally_irreducible_but_have_dead_clocks() {
-    for n in [2usize, 4] {
-        let sys = pte_core::pattern::build_pattern_system(&LeaseConfig::chain(n), true)
-            .expect("chain builds");
-        let net = pte_zones::lower_network(&sys.automata).expect("chain lowers");
-        let a = analyze(&net);
-        assert!(a.reduction.is_identity(), "chain-{n} must not reduce");
-        assert!(
-            !a.activity.is_trivial(),
-            "chain-{n} must have per-location dead clocks"
-        );
-        assert!(!a.has_errors(), "registry models must pass the lint gate");
+fn registry_models_are_globally_irreducible_but_have_dead_clocks() {
+    for s in pte_tracheotomy::registry::registry() {
+        for leased in [true, false] {
+            let a = pte_zones::analyze_lease_pattern(&s.config, leased).expect("arm lowers");
+            let arm = format!("{} leased={leased}", s.name);
+            assert!(a.reduction.is_identity(), "{arm} must not reduce");
+            assert!(
+                !a.activity.is_trivial(),
+                "{arm} must have per-location dead clocks"
+            );
+            assert!(!a.has_errors(), "{arm} must pass the lint gate");
+        }
     }
 }
 
@@ -253,8 +250,8 @@ fn masks_disabled_above_64_clocks_is_reported() {
     assert!(warnings.is_empty(), "{warnings:?}");
 }
 
-/// Runs one arm of a chain config at one worker count, reduction on or
-/// off, and renders the verdict.
+/// Runs one arm of a chain config at one worker count, the analysis on
+/// or off, and renders the verdict.
 fn run(cfg: &LeaseConfig, leased: bool, workers: usize, reduce: bool) -> SymbolicVerdict {
     let limits = Limits {
         max_states: 80_000,
@@ -285,10 +282,10 @@ proptest! {
     // leased arm is drawn); keep the count low enough for tier-1.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The PR's hard requirement, sampled: on perturbed chains the
-    /// reduced and unreduced engines agree on the verdict kind, and
-    /// falsifications render byte-identical counter-example text, at
-    /// every worker count in {1, 2, 4, 8}.
+    /// The hard requirement, sampled: on perturbed chains the searches
+    /// with and without the activity masks agree on the verdict kind,
+    /// and falsifications render byte-identical counter-example text,
+    /// at every worker count in {1, 2, 4, 8}.
     #[test]
     fn reduced_and_unreduced_agree_on_perturbed_chains(
         // Leased proofs explore the full zone graph, so the arm decides
@@ -350,9 +347,9 @@ fn chain_agreement_pinned() {
 }
 
 /// Every registry lease-stripped arm with N ≤ 8 falsifies through the
-/// verdict-only reduced search and the least-path-first rerun, and
-/// `check` renders exactly the text of the full unhinted search on the
-/// unreduced network, at 1, 2, 4 and 8 workers.
+/// verdict-only masked search and the least-path-first rerun, and
+/// `check` renders exactly the text of the full unhinted search without
+/// masks, at 1, 2, 4 and 8 workers.
 #[test]
 fn stripped_registry_witnesses_match_the_unhinted_search() {
     let arms: Vec<_> = pte_tracheotomy::registry::registry()
