@@ -271,8 +271,8 @@ fn chain_scaling_rows() -> Vec<pte_bench::ScalingRow> {
             scenario: format!("chain-{n}"),
             n,
             states,
-            secs: Some(secs),
-            falsify_secs: Some(falsify_secs),
+            secs,
+            falsify_secs,
         });
     }
     // Zone graphs must grow strictly with N, or the scenarios are not
@@ -509,13 +509,13 @@ fn emit_bench_json(_c: &mut Criterion) {
     pte_bench::write_zones_bench_json(
         &path,
         proof_secs,
-        Some(falsify_secs),
+        falsify_secs,
         &stats,
         &limits,
         &scaling,
         &reduction,
         &compositional,
-        Some(&compositional_warm),
+        &compositional_warm,
     );
 }
 

@@ -35,7 +35,7 @@ use serde::Value;
 
 /// One zones bench record: the case-study throughput/wall-time pair
 /// plus the per-scenario chain scaling throughputs (scenario →
-/// states_per_sec, for rows that carry a sequential timing).
+/// states_per_sec).
 struct Record {
     states_per_sec: f64,
     wall_ms: f64,
@@ -66,8 +66,8 @@ fn read_record(path: &str) -> Result<Record, String> {
         _ => return Err(format!("{path}: not a zones bench record")),
     }
     // Both the scaling and compositional arrays carry
-    // `(scenario, states_per_sec)` rows; rows without a timing
-    // (campaign-derived) are informational, not gated.
+    // `(scenario, states_per_sec)` rows; a row missing either is
+    // skipped.
     let rate_rows = |name: &str| -> Vec<(String, f64)> {
         let mut out = Vec::new();
         if let Some((_, Value::Arr(rows))) = fields.iter().find(|(k, _)| k == name) {

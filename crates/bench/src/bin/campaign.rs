@@ -8,7 +8,7 @@
 //! ```sh
 //! cargo run --release -p pte-bench --bin campaign -- \
 //!     [--smoke] [--scenario NAME] [--depth K] [--workers W] \
-//!     [--budget N] [--json PATH] [--bench-json PATH]
+//!     [--budget N] [--json PATH]
 //! ```
 //!
 //! * `--smoke` — tiny matrix for CI (case study + `chain-3` + a
@@ -31,11 +31,6 @@
 //!   reporting path).
 //! * `--json PATH` — write the JSON report to `PATH` (default: print a
 //!   `== JSON ==` section to stdout).
-//! * `--bench-json PATH` — additionally time the leased case-study
-//!   proof (best of 3) and write a `BENCH_zones.json`-schema record
-//!   (wall time, settled states, states/sec, peak passed-list bytes,
-//!   plus per-N scaling rows derived from the campaign's own chain
-//!   cells) to `PATH`.
 //!
 //! A tripped budget is **never** a verdict: such cells are reported as
 //! `inconclusive` (with the tripped limit named) in the table, the
@@ -55,7 +50,7 @@
 
 use crossbeam::thread;
 use parking_lot::Mutex;
-use pte_bench::{arg_value, ScalingRow};
+use pte_bench::arg_value;
 use pte_core::pattern::LeaseConfig;
 use pte_hybrid::Time;
 use pte_tracheotomy::registry;
@@ -321,7 +316,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
     let json_path = arg_value(&args, "--json");
-    let bench_json_path = arg_value(&args, "--bench-json");
     let only_scenario = arg_value(&args, "--scenario");
 
     if args.iter().any(|a| a == "--list") {
@@ -526,10 +520,6 @@ fn main() {
         std::process::exit(1);
     }
     println!("all campaign gates passed");
-
-    if let Some(path) = bench_json_path {
-        write_bench_json(&path, base_budget, workers, &rows);
-    }
 }
 
 /// `--workers 0` resolved to one per CPU — the same rule the symbolic
@@ -541,67 +531,4 @@ fn effective_workers(workers: usize) -> usize {
         ..Limits::default()
     }
     .effective_workers()
-}
-
-/// Times the leased case-study proof (best of 3) and writes the
-/// `BENCH_zones.json` schema shared with `bench/benches/zones.rs`,
-/// attaching per-N scaling rows derived from the campaign's own leased
-/// chain cells (no re-verification needed).
-fn write_bench_json(path: &str, base_budget: usize, workers: usize, rows: &[Row]) {
-    use pte_zones::SearchStats;
-
-    // The limits the timed request actually runs under (the bench
-    // record schema reports max_states/workers from them).
-    let limits = Limits {
-        max_states: base_budget,
-        max_workers: workers,
-        ..Limits::default()
-    };
-    let request = VerificationRequest::config(LeaseConfig::case_study())
-        .leased(true)
-        .backend(BackendSel::Symbolic)
-        .max_states(limits.max_states)
-        .workers(limits.max_workers);
-    let mut best_secs = f64::INFINITY;
-    let mut stats = None;
-    for _ in 0..3 {
-        let report = request.run().expect("case study lowers");
-        let s = report.primary().clone();
-        assert_eq!(s.verdict, Verdict::Safe, "leased case study must be safe");
-        best_secs = best_secs.min(s.wall_ms / 1e3);
-        stats = Some(SearchStats {
-            states: s.states,
-            transitions: s.transitions,
-            peak_passed_bytes: s.peak_passed_bytes,
-            peak_passed_bytes_full: s.peak_passed_bytes_full,
-            ..SearchStats::default()
-        });
-    }
-    let stats = stats.expect("at least one proof run");
-    let scaling: Vec<ScalingRow> = rows
-        .iter()
-        .filter(|r| {
-            r.cell.leased && r.cell.name.starts_with("chain-") && r.symbolic_status() == "safe"
-        })
-        .map(|r| ScalingRow {
-            scenario: r.cell.name.clone(),
-            n: r.cell.n,
-            states: r.cross.symbolic_states,
-            // Campaign cells run concurrently; their wall times measure
-            // contention, so only the state counts travel.
-            secs: None,
-            falsify_secs: None,
-        })
-        .collect();
-    pte_bench::write_zones_bench_json(
-        path,
-        best_secs,
-        None,
-        &stats,
-        &limits,
-        &scaling,
-        &[],
-        &[],
-        None,
-    );
 }

@@ -48,16 +48,12 @@ pub struct ScalingRow {
     pub n: usize,
     /// Settled symbolic states of the leased safety proof.
     pub states: usize,
-    /// Proof wall time in seconds, when measured **sequentially**
-    /// (`benches/zones.rs`). `None` for rows derived from campaign
-    /// cells, which run up to 4 cells concurrently — their wall times
-    /// measure contention, not the engine, so only the
-    /// contention-free state counts are recorded.
-    pub secs: Option<f64>,
+    /// Proof wall time in seconds, measured sequentially.
+    pub secs: f64,
     /// Wall time in seconds of the same chain's lease-stripped
-    /// falsification, measured like [`ScalingRow::secs`]; `None` for
-    /// campaign rows. Recorded as `falsify_ms`, not gated.
-    pub falsify_secs: Option<f64>,
+    /// falsification, measured like [`ScalingRow::secs`]. Recorded as
+    /// `falsify_ms`, not gated.
+    pub falsify_secs: f64,
 }
 
 /// One reduced-vs-unreduced measurement pair attached to
@@ -121,25 +117,23 @@ pub struct CompositionalWarmRow {
     pub warm_seeded: usize,
 }
 
-/// Writes the `BENCH_zones.json` perf record shared by
-/// `benches/zones.rs` and `campaign --bench-json`: wall time of the
-/// leased case-study proof, settled states, states/sec, the
-/// passed-list byte accounting, per-N chain scaling rows,
-/// reduced-vs-unreduced ablation rows, compositional-scale rows and the
-/// optional `compositional_warm` record. `falsify_secs` is the optional
-/// baseline-falsification timing (the bench measures it, the campaign
-/// does not). The emitted JSON is round-trip-validated before writing.
+/// Writes the `BENCH_zones.json` perf record of `benches/zones.rs`:
+/// wall time of the leased case-study proof and of its baseline
+/// falsification, settled states, states/sec, the passed-list byte
+/// accounting, per-N chain scaling rows, reduced-vs-unreduced ablation
+/// rows, compositional-scale rows and the `compositional_warm` record.
+/// The emitted JSON is round-trip-validated before writing.
 #[allow(clippy::too_many_arguments)]
 pub fn write_zones_bench_json(
     path: &str,
     proof_secs: f64,
-    falsify_secs: Option<f64>,
+    falsify_secs: f64,
     stats: &SearchStats,
     limits: &Limits,
     scaling: &[ScalingRow],
     reduction: &[ReductionRow],
     compositional: &[CompositionalRow],
-    compositional_warm: Option<&CompositionalWarmRow>,
+    compositional_warm: &CompositionalWarmRow,
 ) {
     let num_u = |u: usize| Value::Num(Number::U(u as u64));
     let num_f = |f: f64| Value::Num(Number::F(f));
@@ -147,11 +141,7 @@ pub fn write_zones_bench_json(
         ("bench".into(), Value::Str("zones".into())),
         ("case".into(), Value::Str("leased_case_study_proof".into())),
         ("wall_ms".into(), num_f(proof_secs * 1e3)),
-    ];
-    if let Some(secs) = falsify_secs {
-        fields.push(("falsify_baseline_ms".into(), num_f(secs * 1e3)));
-    }
-    fields.extend([
+        ("falsify_baseline_ms".into(), num_f(falsify_secs * 1e3)),
         ("settled_states".into(), num_u(stats.states)),
         ("transitions".into(), num_u(stats.transitions)),
         (
@@ -169,27 +159,22 @@ pub fn write_zones_bench_json(
         ),
         ("workers".into(), num_u(limits.effective_workers())),
         ("max_states".into(), num_u(limits.max_states)),
-    ]);
+    ];
     if !scaling.is_empty() {
         let rows: Vec<Value> = scaling
             .iter()
             .map(|r| {
-                let mut row = vec![
+                Value::Obj(vec![
                     ("scenario".into(), Value::Str(r.scenario.clone())),
                     ("n".into(), num_u(r.n)),
                     ("settled_states".into(), num_u(r.states)),
-                ];
-                if let Some(secs) = r.secs {
-                    row.push(("wall_ms".into(), num_f(secs * 1e3)));
-                    row.push((
+                    ("wall_ms".into(), num_f(r.secs * 1e3)),
+                    (
                         "states_per_sec".into(),
-                        num_f(r.states as f64 / secs.max(1e-9)),
-                    ));
-                }
-                if let Some(secs) = r.falsify_secs {
-                    row.push(("falsify_ms".into(), num_f(secs * 1e3)));
-                }
-                Value::Obj(row)
+                        num_f(r.states as f64 / r.secs.max(1e-9)),
+                    ),
+                    ("falsify_ms".into(), num_f(r.falsify_secs * 1e3)),
+                ])
             })
             .collect();
         fields.push(("scaling".into(), Value::Arr(rows)));
@@ -240,23 +225,22 @@ pub fn write_zones_bench_json(
             .collect();
         fields.push(("compositional".into(), Value::Arr(rows)));
     }
-    if let Some(w) = compositional_warm {
-        fields.push((
-            "compositional_warm".into(),
-            Value::Obj(vec![
-                ("scenario".into(), Value::Str(w.scenario.clone())),
-                ("edit".into(), Value::Str("safeguards halved".into())),
-                ("cold_ms".into(), num_f(w.cold_secs * 1e3)),
-                ("warm_ms".into(), num_f(w.warm_secs * 1e3)),
-                (
-                    "warm_speedup".into(),
-                    num_f(w.cold_secs / w.warm_secs.max(1e-9)),
-                ),
-                ("pairs_transferred".into(), num_u(w.pairs_transferred)),
-                ("warm_seeded_states".into(), num_u(w.warm_seeded)),
-            ]),
-        ));
-    }
+    let w = compositional_warm;
+    fields.push((
+        "compositional_warm".into(),
+        Value::Obj(vec![
+            ("scenario".into(), Value::Str(w.scenario.clone())),
+            ("edit".into(), Value::Str("safeguards halved".into())),
+            ("cold_ms".into(), num_f(w.cold_secs * 1e3)),
+            ("warm_ms".into(), num_f(w.warm_secs * 1e3)),
+            (
+                "warm_speedup".into(),
+                num_f(w.cold_secs / w.warm_secs.max(1e-9)),
+            ),
+            ("pairs_transferred".into(), num_u(w.pairs_transferred)),
+            ("warm_seeded_states".into(), num_u(w.warm_seeded)),
+        ]),
+    ));
     let json = serde_json::to_string(&Value::Obj(fields)).expect("bench report serializes");
     serde_json::from_str_value(&json).expect("bench JSON must parse back");
     std::fs::write(path, &json).expect("write zones bench JSON");

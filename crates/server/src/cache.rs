@@ -2,8 +2,9 @@
 //! [`VerificationReport`], with an optional persistent disk tier that
 //! also stores passed-list artifacts for warm starts.
 //!
-//! Keys come from [`VerificationRequest::cache_key`]
-//! (`pte_verify::api`), which hashes the *semantics* of a request —
+//! Keys come from
+//! [`VerificationRequest::cache_key`](pte_verify::api::VerificationRequest::cache_key),
+//! which hashes the *semantics* of a request —
 //! resolved configuration, arm, query, backend selection, normalized
 //! budget, warm-start parentage — so a scenario-by-name submit and the
 //! equivalent inline config submit share an entry, and wire-level
@@ -44,7 +45,7 @@
 //!   its reply (see [`crate::daemon`]).
 
 use parking_lot::Mutex;
-use pte_verify::api::{VerificationReport, VerificationRequest};
+use pte_verify::api::VerificationReport;
 use pte_zones::PassedArtifact;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -398,7 +399,8 @@ impl DiskCache {
         &self.dir
     }
 
-    /// Keys are 16 lowercase hex digits ([`VerificationRequest::cache_key`]).
+    /// Keys are 16 lowercase hex digits
+    /// ([`VerificationRequest::cache_key`](pte_verify::api::VerificationRequest::cache_key)).
     /// Anything else — in particular a client-supplied `parent_key`
     /// trying to traverse paths — resolves to no file.
     fn key_path(&self, key: &str, suffix: &str) -> Option<PathBuf> {
@@ -619,13 +621,6 @@ pub fn strip_timing(report: &VerificationReport) -> VerificationReport {
         b.wall_ms = 0.0;
     }
     r
-}
-
-/// Convenience: [`VerificationRequest::cache_key`] unwrapped for
-/// requests already validated by resolution (daemon-internal use,
-/// after `Submit` has been accepted).
-pub fn key_of(request: &VerificationRequest) -> Option<String> {
-    request.cache_key().ok()
 }
 
 #[cfg(test)]

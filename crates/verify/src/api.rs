@@ -25,7 +25,7 @@
 //!   (leased arm, conditions satisfied) in microseconds but can never
 //!   falsify — a violated condition yields
 //!   [`Inconclusive::Unknown`], not `Unsafe`.
-//! * **symbolic** ([`crate::symbolic::verify_symbolic_with`]) covers
+//! * **symbolic** ([`pte_zones::LoweredPattern::check`]) covers
 //!   all real-valued timings and all loss fates at once: both `Safe`
 //!   and `Unsafe` are proof-grade over the timed abstraction.
 //! * **compositional** ([`pte_contracts::check_compositional`])

@@ -1,37 +1,19 @@
-//! The symbolic (zone-based) verification backend.
+//! The symbolic (zone-based) backend beside the concrete-run ones: a
+//! three-valued summary of a [`pte_zones`] verdict and its cross-check
+//! against the bounded-exhaustive explorer.
 //!
-//! Thin integration of [`pte_zones`] into the verify API: where
-//! [`crate::montecarlo`] samples timings and [`crate::exhaustive`]
-//! enumerates the `2^k` loss fates of a prefix, the symbolic backend
-//! covers *every* real-valued timing and *every* drop/deliver assignment
-//! at once by exploring the zone graph of the lowered timed-automata
+//! Where [`crate::montecarlo`] samples timings and [`crate::exhaustive`]
+//! enumerates the `2^k` loss fates of a prefix, the zone engine covers
+//! *every* real-valued timing and *every* drop/deliver assignment at
+//! once by exploring the zone graph of the lowered timed-automata
 //! network. A `Safe` verdict is a proof over the timed abstraction; an
-//! `Unsafe` verdict carries a symbolic counter-example trace.
+//! `Unsafe` verdict carries a symbolic counter-example trace. Requests
+//! reach the engine through [`crate::api`].
 
 use pte_core::pattern::LeaseConfig;
 use pte_zones::{check_lease_pattern_with, SymbolicVerdict, ZonesError};
 pub use pte_zones::{Extrapolation, Limits, SearchStats, TrippedLimit};
 use std::fmt;
-
-/// Runs the symbolic backend on a lease configuration with the default
-/// exploration budget.
-///
-/// Builds the pattern system (leased or baseline), lowers it, and
-/// checks PTE reachability over all timings and loss fates.
-pub fn verify_symbolic(cfg: &LeaseConfig, leased: bool) -> Result<SymbolicVerdict, ZonesError> {
-    check_lease_pattern_with(cfg, leased, &Limits::default())
-}
-
-/// [`verify_symbolic`] with explicit engine knobs: state / wall-clock
-/// budgets, worker count (the verdict is identical for every worker
-/// count), and extrapolation operator.
-pub fn verify_symbolic_with(
-    cfg: &LeaseConfig,
-    leased: bool,
-    limits: &Limits,
-) -> Result<SymbolicVerdict, ZonesError> {
-    check_lease_pattern_with(cfg, leased, limits)
-}
 
 /// Three-valued summary of a symbolic verdict: a truncated search is
 /// *inconclusive*, which must never be conflated with a falsification.
@@ -147,14 +129,15 @@ pub fn cross_check_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pte_zones::check_lease_pattern;
 
     /// The case-study lease configuration is provably safe, and the
-    /// baseline provably unsafe, through the verify-facing API.
+    /// baseline provably unsafe.
     #[test]
     fn case_study_verdicts() {
         let cfg = LeaseConfig::case_study();
-        assert!(verify_symbolic(&cfg, true).unwrap().is_safe());
-        let baseline = verify_symbolic(&cfg, false).unwrap();
+        assert!(check_lease_pattern(&cfg, true).unwrap().is_safe());
+        let baseline = check_lease_pattern(&cfg, false).unwrap();
         assert!(baseline.is_unsafe());
         if let SymbolicVerdict::Unsafe(ce) = baseline {
             // The witness is a real trace, not an empty stub.
@@ -162,13 +145,13 @@ mod tests {
         }
     }
 
-    /// The verify facade surfaces the engine's passed-list memory
-    /// accounting: peak bytes are reported and the minimal constraint
-    /// form undercuts the full-matrix equivalent.
+    /// The engine reports its passed-list memory accounting: peak bytes
+    /// are reported and the minimal constraint form undercuts the
+    /// full-matrix equivalent.
     #[test]
     fn search_stats_report_compressed_passed_list() {
         let cfg = LeaseConfig::case_study();
-        let verdict = verify_symbolic(&cfg, true).unwrap();
+        let verdict = check_lease_pattern(&cfg, true).unwrap();
         let stats = verdict.stats().expect("safe verdict carries stats");
         assert!(stats.peak_passed_bytes > 0);
         assert!(
@@ -205,7 +188,7 @@ mod tests {
             max_states: 10,
             ..Limits::default()
         };
-        let verdict = verify_symbolic_with(&cfg, true, &limits).unwrap();
+        let verdict = check_lease_pattern_with(&cfg, true, &limits).unwrap();
         let SymbolicVerdict::OutOfBudget { stats, tripped } = &verdict else {
             panic!("10-state budget must be exhausted, got {verdict}");
         };

@@ -14,7 +14,7 @@
 //! * [`loss`] — Bernoulli (i.i.d.) loss, Gilbert–Elliott bursty loss, a
 //!   duty-cycled [`loss::Interferer`] reproducing the WiFi-interferer
 //!   setup of Fig. 7(b), bit-error loss through the CRC, and scripted
-//!   (adversarial) loss;
+//!   loss;
 //! * [`delay`] — constant/uniform/exponential propagation delays;
 //! * [`link`] — a [`link::WirelessLink`] combining loss + delay into a
 //!   `pte_sim::Channel`;

@@ -13,9 +13,8 @@
 //! * [`BitError`] — flips bits with a given BER in the encoded frame and
 //!   lets the CRC discard corrupted packets (the receiver-side discard
 //!   path of the fault model);
-//! * [`ScriptedLoss`] — deterministic drop/deliver decisions, used by the
-//!   bounded-exhaustive explorer and the adversarial strategies in
-//!   `pte-verify`.
+//! * [`ScriptedLoss`] — deterministic drop/deliver decisions for
+//!   scripted runs and tests.
 //!
 //! All models are seedable and own their RNG, keeping runs reproducible.
 
@@ -296,8 +295,7 @@ impl LossModel for BitError {
 }
 
 /// Deterministic, scripted loss: a sequence of drop decisions consumed one
-/// per packet (then a default). The exhaustive explorer and adversarial
-/// strategies drive channels through this model.
+/// per packet (then a default).
 #[derive(Clone, Debug)]
 pub struct ScriptedLoss {
     decisions: Vec<bool>,

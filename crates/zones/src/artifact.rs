@@ -53,8 +53,8 @@
 
 use crate::analysis::ActivityMasks;
 use crate::dbm::{Bound, MinCon, MinimalDbm};
-use crate::monitor::MonitorState;
-use crate::reach::Extrapolation;
+use crate::monitor::{Monitor, MonitorState};
+use crate::reach::{Extrapolation, SearchStats};
 use crate::ta::TaNetwork;
 use std::fmt;
 use std::sync::Arc;
@@ -397,6 +397,63 @@ pub fn masks_digest(masks: Option<&ActivityMasks>) -> u64 {
         }
     }
     d.finish()
+}
+
+/// The warm-start gate: validates `art` against the model about to be
+/// searched (the rules under "Warm-start validity" above) and, when
+/// every gate passes, returns the transferred proof's `Safe`
+/// statistics. `None` means "cold-start instead" — the only failure
+/// mode. The per-entry re-check is defense in depth against a corrupt
+/// or mismatched artifact that happens to pass the digests; a monitor
+/// without the bounds form of its settled check
+/// ([`Monitor::settled_ok`]) never warm-starts.
+pub(crate) fn try_warm_start(
+    art: &PassedArtifact,
+    net: &TaNetwork,
+    monitor: &dyn Monitor,
+    masks: Option<&ActivityMasks>,
+    extrapolation: Extrapolation,
+) -> Option<SearchStats> {
+    let profile = monitor.warm_profile()?;
+    let nclocks = net.clock_count() + monitor.clock_names().len();
+    if art.nclocks != nclocks
+        || art.extrapolation != extrapolation
+        || art.net_digest != net_structure_digest(net)
+        || art.masks_digest != masks_digest(masks)
+        || art.atom_ticks != atom_ticks(net)
+        || !art.profile.admits(&profile)
+        || art.entries.is_empty()
+    {
+        return None;
+    }
+    let mon_len = monitor.initial_state().len();
+    let mut upper = Vec::with_capacity(nclocks + 1);
+    for e in &art.entries {
+        if e.locs.len() != net.automata.len()
+            || e.mon.len() != mon_len
+            || usize::from(e.zone.dim()) != nclocks + 1
+        {
+            return None;
+        }
+        if e.locs
+            .iter()
+            .zip(&net.automata)
+            .any(|(&l, aut)| l as usize >= aut.locations.len())
+        {
+            return None;
+        }
+        if !e.zone.upper_bounds(&mut upper)
+            || monitor.settled_ok(&e.locs, &e.mon, &upper) != Some(true)
+        {
+            return None;
+        }
+    }
+    Some(SearchStats {
+        states: art.entries.len(),
+        warm_seeded: art.entries.len(),
+        dbm_clocks: nclocks,
+        ..SearchStats::default()
+    })
 }
 
 /// Little-endian payload writer (fixed-width ints only — no varints, so

@@ -137,18 +137,6 @@ impl Dbm {
         }
     }
 
-    /// The universal zone: all clock valuations `≥ 0`.
-    pub fn universe(clocks: usize) -> Dbm {
-        let dim = clocks + 1;
-        let mut m = vec![Bound::INF; dim * dim];
-        for i in 0..dim {
-            m[i * dim + i] = Bound::LE_ZERO;
-            // x0 - xi <= 0 (clocks are non-negative).
-            m[i] = Bound::LE_ZERO;
-        }
-        Dbm { dim, m }
-    }
-
     /// Number of real clocks (matrix dimension minus the reference).
     pub fn clocks(&self) -> usize {
         self.dim - 1

@@ -1,15 +1,15 @@
 //! # pte-zones
 //!
-//! Symbolic zone-based reachability for the lease design pattern — the
-//! fourth verification backend of the PTE workspace.
+//! Symbolic zone-based reachability for the lease design pattern: the
+//! engine behind the `symbolic` and `compositional` backends of
+//! `pte-verify`'s request API.
 //!
-//! `pte-verify`'s other backends *sample* the system's behaviours:
-//! Monte-Carlo draws concrete clock valuations, the bounded-exhaustive
-//! explorer enumerates the `2^k` drop/deliver fates of the first `k`
-//! transmissions, and the adversaries play fixed worst-case loss
-//! strategies. This crate instead covers **all real-valued timings and
-//! all loss fates at once**, in the style of timed-automata model
-//! checkers (UPPAAL, ECDAR):
+//! `pte-verify`'s concrete-run backends *sample* the system's
+//! behaviours: Monte-Carlo draws concrete clock valuations, and the
+//! bounded-exhaustive explorer enumerates the `2^k` drop/deliver fates
+//! of the first `k` transmissions. This crate instead covers **all
+//! real-valued timings and all loss fates at once**, in the style of
+//! timed-automata model checkers (UPPAAL, ECDAR):
 //!
 //! 1. [`dbm`] — Difference Bound Matrices over integer ticks:
 //!    construction-time canonicalization (Floyd–Warshall) plus the
@@ -31,7 +31,10 @@
 //!    Supervisor's approval flag), so the hybrid network lowers exactly
 //!    into a network of timed automata ([`ta`]) with invariants, guards,
 //!    resets and the reliable/lossy synchronization labels;
-//! 3. [`monitor`] — the property layer: safety properties are
+//! 3. [`analysis`] — static analysis of the lowered network: the
+//!    per-location activity masks whose dead clocks the search frees,
+//!    and the `pte-lint` diagnostics;
+//! 4. [`monitor`] — the property layer: safety properties are
 //!    [`Monitor`]s composed with the network (observer clocks,
 //!    discrete observer state in every passed-list key, guard
 //!    constants folded into the extrapolation bounds), in the
@@ -39,20 +42,26 @@
 //!    paper's PTE rules for any entity count, and
 //!    [`LocationReachMonitor`] turns the engine into a plain
 //!    reachability checker;
-//! 4. [`reach`] — a parallel, property-agnostic zone-graph
-//!    reachability engine: the passed list is sharded by
-//!    discrete-state hash with per-shard key interning ([`intern`]),
-//!    scoped workers expand the frontier in deterministic BFS layers
-//!    ([`Limits::max_workers`]; the verdict and counter-example are
-//!    identical for every worker count) moving fixed-size action codes
-//!    and pooled zones instead of strings and fresh allocations,
-//!    candidates are probed against the passed list *before*
+//! 5. the model semantics (crate-private) — one successor function:
+//!    the settled successors of the initial state or of one settled
+//!    state, through edge firing, the lossy broadcast cascade with its
+//!    drop/deliver/ignore fates, urgent escapes, delay, dead-clock
+//!    frees, extrapolation and the monitor's checks;
+//! 6. [`reach`] — a parallel, property-agnostic search over that
+//!    function: the passed list is sharded by discrete-state hash with
+//!    per-shard key interning ([`intern`]), scoped workers expand the
+//!    frontier in deterministic BFS layers ([`Limits::max_workers`];
+//!    the verdict and counter-example are identical for every worker
+//!    count), candidates are probed against the passed list *before*
 //!    extrapolation, and any monitor violation is reported as a
 //!    symbolic counter-example trace ([`SearchStats`] includes peak
 //!    passed-list bytes on the safe side). Case-study proof: ≈ 3.6 ms /
 //!    368 states on a 2-vCPU container; chain-8 settles 19 816 states
 //!    in ≈ 1.2 s (`cargo bench -p pte-bench --bench zones`, which also
-//!    writes `BENCH_zones.json`).
+//!    writes `BENCH_zones.json`);
+//! 7. [`artifact`] — a `Safe` search's passed list as a versioned,
+//!    checksummed proof artifact, and the gate that decides when it
+//!    warm-starts the search of an edited model.
 //!
 //! ## Quickstart
 //!
@@ -78,6 +87,7 @@ pub mod intern;
 pub mod lower;
 pub mod monitor;
 pub mod reach;
+mod semantics;
 pub mod ta;
 
 pub use analysis::{

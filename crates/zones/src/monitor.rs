@@ -140,8 +140,8 @@ pub trait Monitor: Sync {
     /// `state` and `zone` unchanged and report no violation. The engine
     /// relies on it: a silent self-loop (no guard, no resets, no
     /// receiver for its emissions) that the firing state's own passed
-    /// zone covers is counted without calling this hook (see the
-    /// "Hot-path engineering" section of [`crate::reach`]). Both
+    /// zone covers is counted without calling this hook
+    /// ([`crate::SearchStats::stutters`]). Both
     /// monitors here keep it: [`PteMonitor`] observes only risky-status
     /// changes, which a self-loop cannot make, and
     /// [`LocationReachMonitor`] flags entering a target location, which

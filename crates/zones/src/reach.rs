@@ -1,48 +1,57 @@
 //! Zone-graph reachability of a [`TaNetwork`] composed with a safety
 //! [`Monitor`] — parallel, sharded, and deterministic.
 //!
-//! The engine explores the product of a [`TaNetwork`] and a monitor
-//! symbolically: a state is a location vector plus the monitor's
-//! observer state plus a zone (DBM) over every clock (network clocks
-//! and observer clocks), and the passed/waiting-list algorithm with
-//! zone inclusion and extrapolation (maximal-constant `Extra_M` or the
-//! coarser LU-bound `Extra_LU`, selectable via
-//! [`Limits::extrapolation`]) guarantees termination. Every
-//! drop/deliver assignment of every wireless emission and every
-//! real-valued timing is covered — the dense-time completion of
-//! `pte-verify`'s bounded `2^k` exhaustive exploration.
+//! A state of the product is a location vector plus the monitor's
+//! observer state plus a zone (DBM) over every clock, network clocks
+//! first and observer clocks above them. The passed/waiting-list
+//! algorithm with zone inclusion and extrapolation (`Extra_M` or the
+//! coarser `Extra⁺_LU`, [`Limits::extrapolation`]) terminates and covers
+//! every drop/deliver assignment of every wireless emission and every
+//! real-valued timing — the dense-time completion of `pte-verify`'s
+//! bounded `2^k` exhaustive exploration.
+//!
+//! This module is the search only. The successors of one state (edge
+//! firing, the emission cascade and its fates, urgent escapes, delay,
+//! dead-clock frees, extrapolation and the monitor's checks) come from
+//! the one successor function of the crate-private `semantics` module,
+//! which every expansion here calls: the seed round, each frontier
+//! entry and so the least-path round. The property is not part of the
+//! engine either: it is a [`Monitor`] (see [`crate::monitor`]) whose
+//! constants are folded into the extrapolation bound sets, which keeps
+//! the pre-extrapolation subsumption probe sound for any monitor.
+//! [`check`] composes a [`PteMonitor`]; [`check_monitored`] takes any
+//! monitor.
 //!
 //! ## Parallel sharding
 //!
 //! The passed list is sharded by a hash of the discrete part of the
-//! state (location vector + observer state) into [`SHARD_COUNT`]
-//! shards, each behind its own `parking_lot::Mutex`. Because a zone can
-//! only subsume another zone with the *same* discrete part, subsumption
-//! is a shard-local operation and shards never need to coordinate.
-//!
-//! Exploration proceeds in BFS layers with two phases per round, run by
-//! a pool of `crossbeam` scoped workers spawned once per check
-//! ([`Limits::max_workers`]) and coordinated with epoch counters and
-//! spin/yield barriers (thread spawning costs ≈1 ms on some kernels —
-//! far more than a round):
+//! state into [`SHARD_COUNT`] shards, each behind its own
+//! `parking_lot::Mutex`. A zone can only subsume another zone with the
+//! *same* discrete part, so subsumption is shard-local. Exploration
+//! proceeds in BFS layers with two phases per round, run by a pool of
+//! `crossbeam` scoped workers spawned once per check
+//! ([`Limits::max_workers`]; thread spawning costs ≈1 ms on some
+//! kernels — far more than a round):
 //!
 //! 1. **Expand** — workers claim frontier states from a shared cursor
-//!    (an atomic index over the round's frontier vector), fire every
-//!    enabled edge, resolve emission cascades, apply delay closure +
-//!    extrapolation, and run all monitor checks. Cooked successor
-//!    candidates are pushed into the pending list of their target shard;
+//!    and stage each one's successors, probed against the passed list
+//!    before extrapolation, in the pending list of their target shard;
 //!    violations are collected worker-locally.
 //! 2. **Admit** — workers claim whole shards from a second cursor. Each
 //!    shard sorts its pending candidates into a *content-defined* order
-//!    (discrete key, then zone matrix, then parent id, then action
-//!    text), discards those subsumed by an already-passed zone, and
-//!    appends the survivors to the shard's node arena and the next
-//!    frontier.
+//!    (discrete key, zone matrix, parent id, action codes), discards
+//!    those an already-passed zone subsumes, and appends the survivors
+//!    to its node arena and the next frontier. Nodes keep their zones
+//!    in minimal constraint form ([`Dbm::reduce`], typically O(n)
+//!    constraints instead of `(n+1)²`, measured in
+//!    [`SearchStats::peak_passed_bytes`]), subsumption runs directly
+//!    against that form ([`crate::dbm::MinimalDbm::includes`]), and
+//!    keys are interned per shard ([`crate::intern::Interner`]).
 //!
 //! ## Determinism
 //!
-//! The verdict (`Safe` / `Unsafe` / `OutOfBudget`) and the reported
-//! counter-example are identical for every worker count:
+//! The verdict and the reported counter-example are identical for every
+//! worker count:
 //!
 //! * the frontier of round `r + 1` is a pure function of the frontier of
 //!   round `r` — phase 1 only reads shared state, and phase 2 admits
@@ -50,17 +59,11 @@
 //!   races can only reorder *work*, never results;
 //! * the violations an entry yields are a pure function of the entry:
 //!   expanding it reads only zones settled in earlier rounds, never
-//!   what the round has staged so far. They need not be every violation
-//!   reachable in one step: within one edge's emission cascade the first
-//!   violation ends the cascade (`deliver_fates` and `resolve` return it
-//!   through `?`), so the fate branches after it are never tried. Other
-//!   edges are unaffected, and the branch order is fixed;
+//!   what the round has staged so far;
 //! * the engine reports the **lexicographically least violating trace**
-//!   (by step list, then violation rank, then zone) among the
-//!   violations the round collects — a content-defined choice,
-//!   independent of which worker found what first. Layered BFS
-//!   additionally guarantees the reported trace belongs to the
-//!   *earliest* round containing any violation;
+//!   (by step list, then violation rank, then zone) of the *earliest*
+//!   violating round — a content-defined choice, independent of which
+//!   worker found what first;
 //! * the least trace does not need the whole round. Every entry of
 //!   round `r` has a path (the steps from the seed to it) of the same
 //!   length, so a violation under a greater path has a greater step
@@ -70,121 +73,28 @@
 //!   nothing is rendered. The witness then comes from a rerun without
 //!   the activity masks, which expands rounds `< r` in full and round
 //!   `r` on the calling thread, in groups of equal paths, least path
-//!   first, stopping after the first group that yields a violation. That
-//!   group's least trace is the round's, at every worker count; a round
-//!   without a violation is expanded in full and the search goes on;
+//!   first, stopping after the first group that yields a violation;
 //! * budget checks run at round boundaries only, so `OutOfBudget`
 //!   verdicts trip at the same round for every worker count (the
 //!   optional wall-clock limit is the one deliberately nondeterministic
 //!   exception).
 //!
-//! The property being checked is **not** part of this engine: it is a
-//! [`Monitor`] (see [`crate::monitor`]) composed with the network —
-//! observer clocks live in the DBM dimensions above the network's
-//! clocks, observer locations are part of the passed-list key, and the
-//! monitor's constants are folded into the extrapolation bound sets
-//! (which is what keeps the pre-extrapolation subsumption probe below
-//! sound for *any* monitor, not just the PTE observer the engine once
-//! hard-coded). [`check`] is the PTE entry point (it composes a
-//! [`PteMonitor`]); [`check_monitored`] takes any monitor.
-//!
-//! ## Hot-path engineering
-//!
-//! Five layers keep the per-state cost low:
-//!
-//! * **Stutters are counted, not built** — most firings in a
-//!   compositional pair network, and one per settled state of every
-//!   leased registry arm (the supervisor's environment-approval
-//!   self-loop),
-//!   are *silent*: a self-loop with no guard and no resets whose
-//!   emissions no other automaton can receive in its current location
-//!   (`Engine::silent`). Expanding one from entry `E = (l, m, Z)`
-//!   re-derives `E`'s own state: the monitor ignores a self-loop from
-//!   an admitted state (the self-loop contract of
-//!   [`Monitor::on_transition`]), every emission is lost with no fate to
-//!   branch on, and `resolve` settles `Z` within the invariants, plus
-//!   urgent escapes from any sub-zone beyond the invariant of a location
-//!   that has an urgent edge. When there is no such sub-zone and cook's
-//!   pre-probe steps (`Engine::delay_and_free`) map that settled zone
-//!   into `Z` (`Engine::stutter_cover`, computed at most once per
-//!   entry), the expansion would yield exactly one transition and, if
-//!   `Z` meets the invariants, one successor that the subsumption probe
-//!   drops against `E`'s own node, settled in an earlier round, and no
-//!   violation. So the engine counts exactly that (a transition, a
-//!   subsumed successor and a [`SearchStats::stutters`]) and builds
-//!   nothing. Debug builds still expand every counted firing and assert
-//!   the same tallies. Extrapolation can widen `Z` past an invariant, so
-//!   the escape check is not vacuous. Stutters deeper in a cascade are
-//!   still built.
-//! * **A lean emission cascade** — receive tables are sorted by root,
-//!   so one emission collects its receivers as slices in one `Vec`;
-//!   the drop fate, always a receiver's last branch, takes the work
-//!   item instead of a clone; and a work item with no urgent escape to
-//!   fire settles in place within the invariants, while the escape
-//!   check reads only locations that have an urgent edge. Branch order,
-//!   and hence every settled set and witness, is unchanged.
-//! * **Closure that only redoes what changed** — no per-state step
-//!   runs a full O(n³) Floyd–Warshall; each re-closes just the entries
-//!   its operation can affect, and each yields the unique canonical
-//!   form a full closure would, so results are bit-identical:
-//!   - guards and urgent splits tighten one entry at a time
-//!     ([`crate::ta::Atom::apply_and_close`] → [`Dbm::close1`],
-//!     O(n²)): every shorter path uses the new edge exactly once;
-//!   - delay conjoins all location invariants after `up()` in one pass
-//!     ([`Dbm::constrain_upper_and_close`]): each invariant edge enters
-//!     the reference clock, so a shortest path uses at most one of
-//!     them — column 0 takes the best, then only the rows it improved
-//!     extend through row 0;
-//!   - extrapolation relaxes only the entries it loosened, over every
-//!     pivot (O(n·k)): raising entries of a closed matrix cannot
-//!     shorten any path, so every other entry is already final.
-//!
-//!   Warm-start validation rebuilds no matrix at all: it reads
-//!   emptiness and the upper-bound column straight from each stored
-//!   zone's constraints ([`crate::dbm::MinimalDbm::upper_bounds`],
-//!   O(n·k)). The one full closure left,
-//!   [`crate::dbm::MinimalDbm::restore`], is a test oracle.
-//! * **Interned, allocation-free successor plumbing** — action labels
-//!   are fixed-size `Act` codes (rendered to strings only when a
-//!   counter-example is reported), event roots are interned into
-//!   `u16` ids with per-`(automaton, location)` dispatch tables
-//!   replacing edge scans, discrete keys are interned per shard into
-//!   `u32` ids ([`crate::intern::Interner`]), and successor zones are
-//!   drawn from a per-worker [`DbmPool`] free-list.
-//! * **Compressed passed list** — settled zones are stored in minimal
-//!   constraint form ([`Dbm::reduce`], typically O(n) constraints
-//!   instead of the full `(n+1)²` matrix) with subsumption checked
-//!   directly against the compact form
-//!   ([`crate::dbm::MinimalDbm::includes`]); reduction allocates only
-//!   its result, and the measured footprint is
-//!   reported in [`SearchStats::peak_passed_bytes`]. Candidates are
-//!   additionally probed against the passed list *before*
-//!   extrapolation: a subsumed candidate's concrete behaviours are all
-//!   covered by an explored (and violation-free) state, so it is
-//!   dropped without paying for extrapolation or admission.
-//!
-//! Determinism is unchanged: canonical forms are unique and every
-//! admission/drop decision is content-defined, so verdicts, stored
-//! zones, and counter-examples are bit-for-bit identical at every
-//! worker count. The *explored set* can differ slightly from the PR 2
-//! engine, though — the pre-extrapolation probe drops candidates whose
-//! (non-monotone) `Extra⁺_LU` widening the old engine would have
-//! admitted — so settled-state counts are comparable only within a
-//! version, never across the optimization boundary.
+//! The early probe drops candidates whose (non-monotone) `Extra⁺_LU`
+//! widening a search that probes only after extrapolation would admit,
+//! so settled-state counts are comparable only within one such choice.
 
 use crate::analysis::{analyze, ActivityMasks, ModelAnalysis};
 use crate::artifact::{
-    atom_ticks, masks_digest, net_structure_digest, ArtifactSink, PassedArtifact, PassedEntry,
+    atom_ticks, masks_digest, net_structure_digest, try_warm_start, ArtifactSink, PassedArtifact,
+    PassedEntry,
 };
 use crate::dbm::{Dbm, DbmPool, MinimalDbm};
 use crate::intern::Interner;
-use crate::monitor::{
-    Monitor, MonitorState, MonitorViolation, ObserverSpec, PteMonitor, TransitionCtx,
-};
-use crate::ta::{LuBounds, Sync, TaNetwork};
+use crate::monitor::{Monitor, ObserverSpec, PteMonitor};
+use crate::semantics::{Act, Key, LocalStats, Semantics, Successor, Violation, Yield};
+use crate::ta::TaNetwork;
 use parking_lot::{Mutex, RwLock};
-use pte_hybrid::Root;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -244,7 +154,7 @@ pub type ProgressFn = Arc<dyn Fn(&Progress) + Send + std::marker::Sync>;
 pub struct SymbolicCounterExample {
     /// Rendered description of the violated property (monitor-defined).
     pub violation: String,
-    /// Content-defined violation rank ([`MonitorViolation::rank`]) used
+    /// Content-defined violation rank ([`crate::MonitorViolation::rank`]) used
     /// for deterministic tie-breaking.
     pub rank: (u8, u32),
     /// Discrete actions from the initial state to the violation, one
@@ -273,9 +183,9 @@ pub struct SearchStats {
     pub transitions: usize,
     /// Successor states subsumed by an already-passed zone.
     pub subsumed: usize,
-    /// Stutters: firings of a silent self-loop that the entry's own
-    /// passed zone covers, counted without building the successor (see
-    /// the module's "Hot-path engineering" section). Each is also one
+    /// Stutters: firings of a silent self-loop (no guard, no resets, no
+    /// receiver for its emissions) that the entry's own passed zone
+    /// covers, counted without building the successor. Each is also one
     /// of [`SearchStats::transitions`] and, when the entry's zone meets
     /// the location invariants, one of [`SearchStats::subsumed`]: the
     /// counts the full expansion would have made.
@@ -510,10 +420,6 @@ impl Limits {
     }
 }
 
-/// Discrete part of a product state: the network's location vector plus
-/// the monitor's observer state.
-type Key = (Vec<u32>, MonitorState);
-
 /// Number of passed-list shards. A constant (rather than a function of
 /// the worker count) so the shard assignment — and hence node numbering
 /// — is identical across worker counts.
@@ -537,32 +443,6 @@ fn shard_of(key: &Key) -> usize {
 struct NodeId {
     shard: u32,
     idx: u32,
-}
-
-/// One step of a discrete action, as a fixed-size code. The hot path
-/// moves and compares these 8-byte values; the human-readable strings
-/// of PR 2 are produced only when a counter-example is rendered
-/// (`Engine::render_act`). Automata are referenced by index, event
-/// roots by interned id (`Engine::roots`). The derived `Ord` gives the
-/// content-defined tie-break order previously provided by action text.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-enum Act {
-    /// The seed state.
-    Initial,
-    /// Edge `eid` of automaton `aut` fired.
-    Edge { aut: u16, eid: u16 },
-    /// Event `root` delivered to `aut`.
-    Deliver { root: u16, aut: u16 },
-    /// Event `root` dropped by the wireless hop / ignored by `aut`.
-    Lost { root: u16, aut: u16 },
-    /// Event `root` ignored by `aut` on the sub-zone where its single
-    /// guarded edge is disabled.
-    GuardOff { root: u16, aut: u16 },
-    /// Event `root` possibly ignored by `aut` (over-approximated fate
-    /// when several guarded reliable edges compete).
-    MaybeIgnored { root: u16, aut: u16 },
-    /// `aut`'s location invariant expired, forcing an urgent escape.
-    InvariantExpired { aut: u16 },
 }
 
 /// A settled node in a shard's arena. The discrete key lives in the
@@ -593,16 +473,13 @@ struct Shard {
     full_bytes: usize,
 }
 
-/// A fully cooked successor: delay-closed, activity-reduced,
-/// extrapolated, and observer-checked — everything except subsumption,
-/// which is phase 2's shard-local job. Carries the key *content* (not
+/// A cooked [`Successor`] staged for phase 2's shard-local admission,
+/// with the node it was expanded from. Carries the key *content* (not
 /// an id) because admission order — and hence interning order — must be
 /// content-defined.
 struct Candidate {
-    key: Key,
-    zone: Dbm,
+    succ: Successor,
     parent: Option<NodeId>,
-    acts: Vec<Act>,
 }
 
 impl Candidate {
@@ -610,7 +487,8 @@ impl Candidate {
     /// parent id, action codes. Sorting pending candidates by this key
     /// makes phase 2 independent of phase-1 arrival order.
     fn order_key(&self) -> (&Key, &Dbm, Option<NodeId>, &[Act]) {
-        (&self.key, &self.zone, self.parent, &self.acts)
+        let s = &self.succ;
+        (&s.key, &s.zone, self.parent, &s.acts)
     }
 }
 
@@ -618,79 +496,8 @@ impl Candidate {
 /// expand it without touching its home shard.
 struct FrontierEntry {
     id: NodeId,
-    locs: Vec<u32>,
-    mon: MonitorState,
+    key: Key,
     zone: Dbm,
-}
-
-/// In-flight resolution work: a state mid-cascade (pending emissions not
-/// yet assigned a fate) with the actions taken so far this step.
-struct Work {
-    locs: Vec<u32>,
-    mon: MonitorState,
-    zone: Dbm,
-    /// In-flight emissions: `(sender automaton, interned root id)` —
-    /// the sender is excluded from delivery (the executor never
-    /// self-delivers).
-    queue: VecDeque<(u32, u16)>,
-    acts: Vec<Act>,
-}
-
-impl Work {
-    /// Clones this work item, drawing the zone copy from `pool`.
-    fn clone_via(&self, pool: &mut DbmPool) -> Work {
-        Work {
-            locs: self.locs.clone(),
-            mon: self.mon.clone(),
-            zone: pool.clone_dbm(&self.zone),
-            queue: self.queue.clone(),
-            acts: self.acts.clone(),
-        }
-    }
-}
-
-/// A monitor violation with the engine-side context a counter-example
-/// needs: the action trace of the violating step and the violating
-/// (sub-)zone.
-struct Violation {
-    mv: MonitorViolation,
-    acts: Vec<Act>,
-    zone: Dbm,
-}
-
-/// Worker-local tallies merged into [`SearchStats`] at round barriers.
-#[derive(Default)]
-struct LocalStats {
-    transitions: usize,
-    /// Successors dropped by the pre-extrapolation subsumption probe.
-    subsumed: usize,
-    /// Silent self-loop firings counted without expansion.
-    stutters: usize,
-}
-
-impl LocalStats {
-    /// Adds these tallies to `stats`.
-    fn fold_into(&self, stats: &mut SearchStats) {
-        stats.transitions += self.transitions;
-        stats.subsumed += self.subsumed;
-        stats.stutters += self.stutters;
-    }
-}
-
-/// Maximum zero-time cascade depth (urgent chains + deliveries) before
-/// the engine settles a state as-is; prevents pathological recursion on
-/// malformed inputs.
-const CASCADE_DEPTH: usize = 128;
-
-/// One receiving edge in a location's dispatch table.
-#[derive(Clone, Copy)]
-struct RecvEdge {
-    /// Interned root id this edge listens for.
-    root: u16,
-    /// Edge index within the owning automaton.
-    eid: u32,
-    /// `true` for lossy wireless receives.
-    lossy: bool,
 }
 
 /// What a search is for. Private: only [`check_analyzed`] asks for
@@ -731,40 +538,8 @@ impl Outcome {
 }
 
 struct Engine<'s> {
-    /// The lowered network, **borrowed** — the monitor's observer
-    /// clocks live in the DBM dimensions above
-    /// [`TaNetwork::clock_count`], so the network itself is never
-    /// cloned or mutated.
-    net: &'s TaNetwork,
-    /// The composed safety monitor (see [`crate::monitor`]).
-    monitor: &'s dyn Monitor,
-    /// Total clock count (network + observer clocks).
-    nclocks: usize,
-    /// `Extra_M` ceiling vector (network + monitor constants).
-    kmax: Vec<i64>,
-    /// `Extra_LU` bound vectors (network + monitor constants).
-    lu: LuBounds,
-    extrapolation: Extrapolation,
-    /// Interned event roots (`Act`/queue ids index into this).
-    roots: Vec<Root>,
-    /// `spont[ai][loc]` — spontaneous/external edges leaving `loc`.
-    spont: Vec<Vec<Vec<u32>>>,
-    /// `urgent[ai][loc]` — urgent escape edges leaving `loc`.
-    urgent: Vec<Vec<Vec<u32>>>,
-    /// `recv[ai][loc]` — receiving edges leaving `loc`, sorted by root
-    /// id and, within one root, in edge order
-    /// ([`Engine::receivers_in`]).
-    recv: Vec<Vec<Vec<RecvEdge>>>,
-    /// `emit_ids[ai][eid]` — interned roots the edge emits.
-    emit_ids: Vec<Vec<Vec<u16>>>,
-    /// `bare_loop[ai][eid]` — the edge is a self-loop with no guard and
-    /// no resets whose emissions fit one cascade: the shape of a silent
-    /// firing ([`Engine::silent`]).
-    bare_loop: Vec<Vec<bool>>,
-    /// Per-location dead-clock masks over the network's clock space.
-    /// `None` when [`Limits::reduce_clocks`] is off or the masks are
-    /// trivial.
-    masks: Option<&'s ActivityMasks>,
+    /// The successor function of the network and monitor searched.
+    sem: Semantics<'s>,
     shards: Vec<Mutex<Shard>>,
     goal: Goal,
 }
@@ -871,43 +646,12 @@ fn check_monitored_with(
     masks: Option<&ActivityMasks>,
     goal: Goal,
 ) -> Result<Outcome, String> {
-    let base = net.clock_count();
-    let nclocks = base + monitor.clock_names().len();
-
-    // Maximal constants: network constants plus whatever the monitor's
-    // guards compare its clocks against.
-    let mut kmax = net.max_constants();
-    kmax.resize(nclocks + 1, 0);
-    let mut lu = net.lu_bounds();
-    lu.lower.resize(nclocks + 1, 0);
-    lu.upper.resize(nclocks + 1, 0);
-    monitor.fold_bounds(&mut kmax, &mut lu);
-
-    // `Act` codes and interned root ids index automata/edges/roots with
-    // u16, and the minimal constraint form ([`Dbm::reduce`]) indexes
-    // clocks with u8; reject (rather than silently truncate) networks
-    // beyond those bounds, far past anything the lowering produces.
-    if net.automata.len() > u16::MAX as usize
-        || net
-            .automata
-            .iter()
-            .any(|a| a.edges.len() > u16::MAX as usize)
-    {
-        return Err("network too large: more than 65535 automata or edges per automaton".into());
-    }
-    if nclocks + 1 > u8::MAX as usize {
-        return Err(format!(
-            "network too large: {nclocks} clocks (incl. observer clocks) exceed the \
-             254-clock limit of the compressed passed list"
-        ));
-    }
-
     // Warm start: when a prior run's artifact survives every validity
     // gate against *this* model, its passed list is a complete proof
     // and the search is answered by transfer — no exploration at all.
     // Any gate failure falls through to the cold search below.
     if let Some(art) = &limits.warm_start {
-        if let Some(stats) = try_warm_start(art, net, monitor, masks, limits, nclocks) {
+        if let Some(stats) = try_warm_start(art, net, monitor, masks, limits.extrapolation) {
             if let Some(sink) = &limits.capture {
                 // Pass the original artifact through unchanged:
                 // chained warm starts then always admit against the
@@ -918,97 +662,8 @@ fn check_monitored_with(
         }
     }
 
-    // Intern every event root in deterministic first-seen order over
-    // the network. Roots accumulate *across* automata, so their count
-    // is bounded separately from the per-automaton edge guard above —
-    // and gracefully, like the other size limits.
-    let mut roots: Vec<Root> = Vec::new();
-    let mut root_ids: HashMap<Root, u16> = HashMap::new();
-    for aut in &net.automata {
-        for e in &aut.edges {
-            for r in e.sync.root().into_iter().chain(e.emits.iter()) {
-                if root_ids.contains_key(r) {
-                    continue;
-                }
-                if roots.len() > u16::MAX as usize {
-                    return Err(
-                        "network too large: more than 65536 distinct event roots".to_string()
-                    );
-                }
-                root_ids.insert(r.clone(), roots.len() as u16);
-                roots.push(r.clone());
-            }
-        }
-    }
-
-    // Per-(automaton, location) dispatch tables replacing per-expansion
-    // edge scans.
-    let mut spont = Vec::with_capacity(net.automata.len());
-    let mut urgent = Vec::with_capacity(net.automata.len());
-    let mut recv = Vec::with_capacity(net.automata.len());
-    let mut emit_ids = Vec::with_capacity(net.automata.len());
-    let mut bare_loop = Vec::with_capacity(net.automata.len());
-    for aut in &net.automata {
-        let nloc = aut.locations.len();
-        let mut sp = vec![Vec::new(); nloc];
-        let mut ur = vec![Vec::new(); nloc];
-        let mut rc: Vec<Vec<RecvEdge>> = vec![Vec::new(); nloc];
-        let mut em = Vec::with_capacity(aut.edges.len());
-        for (eid, e) in aut.edges.iter().enumerate() {
-            match &e.sync {
-                Sync::None | Sync::External(_) => sp[e.src].push(eid as u32),
-                Sync::Reliable(r) => rc[e.src].push(RecvEdge {
-                    root: root_ids[r],
-                    eid: eid as u32,
-                    lossy: false,
-                }),
-                Sync::Lossy(r) => rc[e.src].push(RecvEdge {
-                    root: root_ids[r],
-                    eid: eid as u32,
-                    lossy: true,
-                }),
-            }
-            if e.urgent {
-                ur[e.src].push(eid as u32);
-            }
-            em.push(e.emits.iter().map(|r| root_ids[r]).collect::<Vec<u16>>());
-        }
-        // A stable sort keeps edge order within each root, the order
-        // the delivery fates branch in.
-        for table in &mut rc {
-            table.sort_by_key(|re| re.root);
-        }
-        spont.push(sp);
-        urgent.push(ur);
-        recv.push(rc);
-        emit_ids.push(em);
-        bare_loop.push(
-            aut.edges
-                .iter()
-                .map(|e| {
-                    e.src == e.dst
-                        && e.guard.is_empty()
-                        && e.resets.is_empty()
-                        && e.emits.len() <= CASCADE_DEPTH
-                })
-                .collect::<Vec<bool>>(),
-        );
-    }
-
     let engine = Engine {
-        net,
-        monitor,
-        nclocks,
-        kmax,
-        lu,
-        extrapolation: limits.extrapolation,
-        roots,
-        spont,
-        urgent,
-        recv,
-        emit_ids,
-        bare_loop,
-        masks,
+        sem: Semantics::new(net, monitor, limits.extrapolation, masks)?,
         shards: (0..SHARD_COUNT)
             .map(|_| Mutex::new(Shard::default()))
             .collect(),
@@ -1021,73 +676,6 @@ fn check_monitored_with(
         }
     }
     Ok(outcome)
-}
-
-/// Validates `art` against the model about to be searched and, when
-/// every gate passes, returns the transferred-proof `Safe` statistics.
-/// `None` means "cold-start instead" — the only failure mode.
-///
-/// Soundness of the transfer: the structural digest plus elementwise
-/// tick equality pin the lowered network exactly, so the zone graph and
-/// the monitor's state evolution are those of the proved run; the
-/// monitor profile admission ([`crate::WarmProfile::admits`]) means
-/// every new violation predicate is a subset of an old one; hence the
-/// old "no violation reachable" verdict covers the new model verbatim.
-/// The per-entry re-validation below (shape checks, non-emptiness, the
-/// *new* monitor's settled check on every stored zone) is defense in
-/// depth against a corrupt or mismatched artifact that happens to pass
-/// the digests. It reads each stored zone in O(n·k) without rebuilding
-/// its matrix: the settled check needs only emptiness and the
-/// upper-bound column ([`MinimalDbm::upper_bounds`],
-/// [`Monitor::settled_ok`]), so a monitor without that bounds form
-/// never warm-starts.
-fn try_warm_start(
-    art: &PassedArtifact,
-    net: &TaNetwork,
-    monitor: &dyn Monitor,
-    masks: Option<&ActivityMasks>,
-    limits: &Limits,
-    nclocks: usize,
-) -> Option<SearchStats> {
-    let profile = monitor.warm_profile()?;
-    if art.nclocks != nclocks
-        || art.extrapolation != limits.extrapolation
-        || art.net_digest != net_structure_digest(net)
-        || art.masks_digest != masks_digest(masks)
-        || art.atom_ticks != atom_ticks(net)
-        || !art.profile.admits(&profile)
-        || art.entries.is_empty()
-    {
-        return None;
-    }
-    let mon_len = monitor.initial_state().len();
-    let mut upper = Vec::with_capacity(nclocks + 1);
-    for e in &art.entries {
-        if e.locs.len() != net.automata.len()
-            || e.mon.len() != mon_len
-            || usize::from(e.zone.dim()) != nclocks + 1
-        {
-            return None;
-        }
-        if e.locs
-            .iter()
-            .zip(&net.automata)
-            .any(|(&l, aut)| l as usize >= aut.locations.len())
-        {
-            return None;
-        }
-        if !e.zone.upper_bounds(&mut upper)
-            || monitor.settled_ok(&e.locs, &e.mon, &upper) != Some(true)
-        {
-            return None;
-        }
-    }
-    Some(SearchStats {
-        states: art.entries.len(),
-        warm_seeded: art.entries.len(),
-        dbm_clocks: nclocks,
-        ..SearchStats::default()
-    })
 }
 
 /// Serializes the engine's passed list into a [`PassedArtifact`]:
@@ -1115,11 +703,11 @@ fn capture_artifact(
         }
     }
     PassedArtifact {
-        nclocks: engine.nclocks,
+        nclocks: engine.sem.nclocks,
         extrapolation: limits.extrapolation,
         reduce_clocks: limits.reduce_clocks,
-        net_digest: net_structure_digest(engine.net),
-        atom_ticks: atom_ticks(engine.net),
+        net_digest: net_structure_digest(engine.sem.net),
+        atom_ticks: atom_ticks(engine.sem.net),
         masks_digest: masks_digest(masks),
         profile,
         entries,
@@ -1227,58 +815,37 @@ impl Engine<'_> {
         .expect("worker pool scope")
     }
 
-    /// Sums the per-shard passed-list byte accounting into `stats`.
-    fn fold_passed_bytes(&self, stats: &mut SearchStats) {
-        let (mut min_bytes, mut full_bytes) = (0usize, 0usize);
-        for shard in &self.shards {
-            let s = shard.lock();
-            min_bytes += s.min_bytes;
-            full_bytes += s.full_bytes;
-        }
-        stats.peak_passed_bytes = min_bytes;
-        stats.peak_passed_bytes_full = full_bytes;
-    }
-
     /// The coordinator: seeds the search, then alternates expand/admit
     /// phases (participating in each) until a verdict is reached.
     fn drive(&self, sync: &RoundSync, limits: &Limits, helpers: usize) -> Outcome {
         let started = Instant::now();
         let mut stats = SearchStats {
-            dbm_clocks: self.nclocks,
+            dbm_clocks: self.sem.nclocks,
             ..SearchStats::default()
         };
         let mut pool = DbmPool::new();
 
-        // Seed round: resolve + cook the initial state on this thread.
-        let init = Work {
-            locs: self.net.automata.iter().map(|a| a.initial as u32).collect(),
-            mon: self.monitor.initial_state(),
-            zone: Dbm::zero(self.nclocks),
-            queue: VecDeque::new(),
-            acts: vec![Act::Initial],
-        };
+        // Seed round: the initial state's successors, on this thread.
+        // Nothing is settled yet, so the probe drops nothing.
         let mut local = LocalStats::default();
-        let mut settled = Vec::new();
-        let mut violations: Vec<(Option<NodeId>, Violation)> = Vec::new();
-        match self.resolve(init, 0, &mut settled, &mut local, &mut pool) {
-            Ok(()) => {}
-            Err(v) => violations.push((None, *v)),
-        }
-        for w in settled {
-            match self.cook(w, None, &mut local, &mut pool) {
-                Ok(Some(c)) => self.shards[shard_of(&c.key)].lock().pending.push(c),
-                Ok(None) => {}
-                Err(v) => violations.push((None, *v)),
+        let mut violations = Vec::new();
+        let mut stage = |y: Yield| match y {
+            Ok(succ) => {
+                let shard = &self.shards[shard_of(&succ.key)];
+                shard.lock().pending.push(Candidate { succ, parent: None });
             }
-        }
+            Err(v) => violations.push((None, *v)),
+        };
+        self.sem
+            .initial(&|_, _| false, &mut local, &mut pool, &mut stage);
         local.fold_into(&mut stats);
-        if !violations.is_empty() {
-            return self.violated(violations, 0);
-        }
-        let mut frontier = self.admit_phase(sync, helpers, &mut stats, &mut pool);
 
         let mut round = 0usize;
         loop {
+            if !violations.is_empty() {
+                return self.violated(violations, round);
+            }
+            let frontier = self.admit_phase(sync, helpers, &mut stats, &mut pool);
             // Round boundary: publish a progress snapshot, then honour a
             // fired cancellation token *before* any verdict — a search
             // cancelled mid-flight must never settle into `Safe`, even
@@ -1292,50 +859,39 @@ impl Engine<'_> {
                 });
             }
             round += 1;
-            if limits
+            let tripped = if limits
                 .cancel
                 .as_ref()
                 .is_some_and(CancelToken::is_cancelled)
             {
+                Some(TrippedLimit::Cancelled)
+            } else if frontier.is_empty() {
+                None
+            } else if stats.states > limits.max_states {
+                Some(TrippedLimit::MaxStates(limits.max_states))
+            } else {
+                limits
+                    .max_wall
+                    .filter(|&budget| started.elapsed() > budget)
+                    .map(TrippedLimit::WallClock)
+            };
+            if tripped.is_some() || frontier.is_empty() {
                 stats.frontier = frontier.len();
-                self.fold_passed_bytes(&mut stats);
-                return Outcome::Done(SymbolicVerdict::OutOfBudget {
-                    stats,
-                    tripped: TrippedLimit::Cancelled,
-                });
-            }
-            if frontier.is_empty() {
-                stats.frontier = 0;
-                self.fold_passed_bytes(&mut stats);
-                return Outcome::Done(SymbolicVerdict::Safe(stats));
-            }
-            if stats.states > limits.max_states {
-                stats.frontier = frontier.len();
-                self.fold_passed_bytes(&mut stats);
-                return Outcome::Done(SymbolicVerdict::OutOfBudget {
-                    stats,
-                    tripped: TrippedLimit::MaxStates(limits.max_states),
-                });
-            }
-            if let Some(budget) = limits.max_wall {
-                if started.elapsed() > budget {
-                    stats.frontier = frontier.len();
-                    self.fold_passed_bytes(&mut stats);
-                    return Outcome::Done(SymbolicVerdict::OutOfBudget {
-                        stats,
-                        tripped: TrippedLimit::WallClock(budget),
-                    });
+                for shard in &self.shards {
+                    let s = shard.lock();
+                    stats.peak_passed_bytes += s.min_bytes;
+                    stats.peak_passed_bytes_full += s.full_bytes;
                 }
+                return Outcome::Done(match tripped {
+                    Some(tripped) => SymbolicVerdict::OutOfBudget { stats, tripped },
+                    None => SymbolicVerdict::Safe(stats),
+                });
             }
-            let violations = if self.goal == Goal::WitnessAt(round) {
+            violations = if self.goal == Goal::WitnessAt(round) {
                 self.expand_least_paths(sync, frontier, &mut stats, &mut pool)
             } else {
                 self.expand_phase(sync, frontier, helpers, &mut stats, &mut pool)
             };
-            if !violations.is_empty() {
-                return self.violated(violations, round);
-            }
-            frontier = self.admit_phase(sync, helpers, &mut stats, &mut pool);
         }
     }
 
@@ -1481,7 +1037,17 @@ impl Engine<'_> {
         loop {
             let i = sync.cursor.fetch_add(1, Ordering::Relaxed);
             let Some(entry) = frontier.get(i) else { break };
-            self.expand(entry, &mut staged, &mut violations, &mut local, pool);
+            let probe = |key: &Key, zone: &Dbm| self.passed_covers(key, zone);
+            let mut stage = |y: Yield| match y {
+                Ok(succ) => staged[shard_of(&succ.key)].push(Candidate {
+                    succ,
+                    parent: Some(entry.id),
+                }),
+                Err(v) => violations.push((Some(entry.id), *v)),
+            };
+            let (key, zone) = (&entry.key, &entry.zone);
+            self.sem
+                .successors(key, zone, &probe, &mut local, pool, &mut stage);
             if verdict_only && !violations.is_empty() {
                 sync.cursor.store(frontier.len(), Ordering::Relaxed);
             }
@@ -1553,7 +1119,7 @@ impl Engine<'_> {
             }
             let shard = self.shards[n.shard as usize].lock();
             let node = &shard.nodes[n.idx as usize];
-            unrendered.push((n, self.render_step(&node.acts)));
+            unrendered.push((n, self.sem.render_step(&node.acts)));
             cursor = node.parent;
         }
         for (n, step) in unrendered.into_iter().rev() {
@@ -1619,32 +1185,33 @@ impl Engine<'_> {
                 full_bytes,
                 ..
             } = &mut *shard;
-            for c in pending {
+            for Candidate { succ, parent } in pending {
+                let Successor { key, zone, acts } = succ;
                 debug_assert!(
-                    c.zone.closed_through_zero(),
+                    zone.closed_through_zero(),
                     "candidates must arrive canonical"
                 );
-                let (kid, new_key) = keys.intern(&c.key);
+                let (kid, new_key) = keys.intern(&key);
                 if new_key {
                     buckets.push(Vec::new());
                 }
                 let bucket = &mut buckets[kid as usize];
                 if bucket
                     .iter()
-                    .any(|&ni| nodes[ni as usize].zone.includes(&c.zone))
+                    .any(|&ni| nodes[ni as usize].zone.includes(&zone))
                 {
                     subsumed += 1;
-                    pool.recycle(c.zone);
+                    pool.recycle(zone);
                     continue;
                 }
-                let reduced = c.zone.reduce();
+                let reduced = zone.reduce();
                 *min_bytes += reduced.heap_bytes();
                 *full_bytes += reduced.full_matrix_bytes();
                 let idx = nodes.len() as u32;
                 nodes.push(Node {
                     zone: reduced,
-                    parent: c.parent,
-                    acts: c.acts.into_boxed_slice(),
+                    parent,
+                    acts: acts.into_boxed_slice(),
                 });
                 bucket.push(idx);
                 fresh.push(FrontierEntry {
@@ -1652,9 +1219,8 @@ impl Engine<'_> {
                         shard: s as u32,
                         idx,
                     },
-                    locs: c.key.0,
-                    mon: c.key.1,
-                    zone: c.zone,
+                    key,
+                    zone,
                 });
             }
             admitted.push((s, fresh));
@@ -1662,575 +1228,17 @@ impl Engine<'_> {
         (admitted, subsumed)
     }
 
-    /// Expands one settled state: fires every spontaneous/external edge,
-    /// resolves the emission cascade, cooks the settled successors into
-    /// shard-staged candidates, and records violations. A violation on
-    /// one edge never hides another edge's violations or successors.
-    /// Within one edge's cascade it does: the first violation returns
-    /// through `?` from `deliver_fates` or `resolve`, so the fate
-    /// branches after it are never tried and the successors settled
-    /// before it are not cooked. The branch order is fixed, so what an
-    /// entry yields depends on the entry alone, and "least" in
-    /// [`Engine::least_counter_example`] means least among the
-    /// violations a round collects.
-    ///
-    /// A [silent](Engine::silent) firing that the entry's own passed
-    /// zone covers ([`Engine::stutter_cover`], computed at most once
-    /// per entry) is counted, not expanded: it would settle only its
-    /// source state again, which the subsumption probe then drops.
-    fn expand(
-        &self,
-        entry: &FrontierEntry,
-        staged: &mut [Vec<Candidate>],
-        violations: &mut Vec<(Option<NodeId>, Violation)>,
-        local: &mut LocalStats,
-        pool: &mut DbmPool,
-    ) {
-        let mut cover = None;
-        for ai in 0..self.net.automata.len() {
-            let loc = entry.locs[ai] as usize;
-            for &eid in &self.spont[ai][loc] {
-                let eid = eid as usize;
-                if self.silent(&entry.locs, ai, eid) {
-                    if let Some(settles) =
-                        *cover.get_or_insert_with(|| self.stutter_cover(entry, pool))
-                    {
-                        local.transitions += 1;
-                        local.subsumed += usize::from(settles);
-                        local.stutters += 1;
-                        #[cfg(debug_assertions)]
-                        self.assert_stutter(entry, ai, eid, settles, pool);
-                        continue;
-                    }
-                }
-                // Guards are pre-tested atom-by-atom on the parent zone,
-                // skipping the Work clone entirely when any single atom
-                // is unsatisfiable (necessary condition; the joint
-                // conjunction is still checked by apply_edge).
-                let guard = &self.net.automata[ai].edges[eid].guard;
-                if guard.iter().any(|a| !a.satisfiable_in(&entry.zone)) {
-                    continue;
-                }
-                let mut w = Work {
-                    locs: entry.locs.clone(),
-                    mon: entry.mon.clone(),
-                    zone: pool.clone_dbm(&entry.zone),
-                    queue: VecDeque::new(),
-                    acts: Vec::new(),
-                };
-                match self.apply_edge(&mut w, ai, eid, local) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        pool.recycle(w.zone);
-                        continue;
-                    }
-                    Err(v) => {
-                        violations.push((Some(entry.id), *v));
-                        pool.recycle(w.zone);
-                        continue;
-                    }
-                }
-                let mut settled = Vec::new();
-                if let Err(v) = self.resolve(w, 0, &mut settled, local, pool) {
-                    violations.push((Some(entry.id), *v));
-                    continue;
-                }
-                for s in settled {
-                    match self.cook(s, Some(entry.id), local, pool) {
-                        Ok(Some(c)) => staged[shard_of(&c.key)].push(c),
-                        Ok(None) => {}
-                        Err(v) => violations.push((Some(entry.id), *v)),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Whether firing edge `eid` of automaton `ai` in the locations
-    /// `locs` is silent: the edge is a bare self-loop (no guard, no
-    /// resets) and no other automaton has a receiving edge, in its
-    /// current location, for any root the edge emits. Such a firing
-    /// changes neither the locations nor the zone, every emission is
-    /// lost without a fate to branch on, and the monitor ignores it
-    /// (the self-loop contract of [`Monitor::on_transition`]).
-    fn silent(&self, locs: &[u32], ai: usize, eid: usize) -> bool {
-        self.bare_loop[ai][eid]
-            && self.emit_ids[ai][eid].iter().all(|&root| {
-                locs.iter()
-                    .enumerate()
-                    .all(|(aj, &l)| aj == ai || self.receivers_in(aj, l, root).is_empty())
-            })
-    }
-
-    /// Whether a silent firing from `entry` may be counted instead of
-    /// expanded: `Some(settles)` when its expansion would yield exactly
-    /// one transition and no candidate, `settles` telling whether it
-    /// settles a successor, which the subsumption probe then drops;
-    /// `None` when it must be expanded.
-    ///
-    /// The expansion settles the entry's zone `Z` within the location
-    /// invariants, unless some sub-zone beyond them must take an urgent
-    /// escape ([`Engine::has_escape`]), and `cook` then applies its
-    /// pre-probe steps ([`Engine::delay_and_free`]) to it under the
-    /// entry's own key. When the result lies inside `Z`, the entry's
-    /// own node, settled in an earlier round, subsumes it.
-    fn stutter_cover(&self, entry: &FrontierEntry, pool: &mut DbmPool) -> Option<bool> {
-        if self.has_escape(&entry.locs, &entry.zone) {
-            return None;
-        }
-        let mut z = pool.clone_dbm(&entry.zone);
-        let cover = if !self.apply_invariants(&entry.locs, &mut z)
-            || !self.delay_and_free(&entry.locs, &entry.mon, &mut z)
-        {
-            Some(false)
-        } else if entry.zone.includes(&z) {
-            Some(true)
-        } else {
-            None
-        };
-        pool.recycle(z);
-        cover
-    }
-
-    /// Debug builds check every counted silent firing against its full
-    /// expansion, run with scratch tallies: no violation, exactly one
-    /// transition, and only successors the subsumption probe drops, as
-    /// many as were counted.
-    #[cfg(debug_assertions)]
-    fn assert_stutter(
-        &self,
-        entry: &FrontierEntry,
-        ai: usize,
-        eid: usize,
-        settles: bool,
-        pool: &mut DbmPool,
-    ) {
-        let mut scratch = LocalStats::default();
-        let mut w = Work {
-            locs: entry.locs.clone(),
-            mon: entry.mon.clone(),
-            zone: pool.clone_dbm(&entry.zone),
-            queue: VecDeque::new(),
-            acts: Vec::new(),
-        };
-        assert!(
-            matches!(self.apply_edge(&mut w, ai, eid, &mut scratch), Ok(true)),
-            "a silent self-loop fires without a violation"
-        );
-        let mut settled = Vec::new();
-        assert!(
-            self.resolve(w, 0, &mut settled, &mut scratch, pool).is_ok(),
-            "a silent self-loop's cascade has no violation"
-        );
-        for s in settled {
-            assert!(
-                matches!(self.cook(s, Some(entry.id), &mut scratch, pool), Ok(None)),
-                "a stutter's successor is dropped before admission"
-            );
-        }
-        assert_eq!(
-            scratch.transitions, 1,
-            "a silent self-loop is one transition"
-        );
-        assert_eq!(
-            scratch.subsumed,
-            usize::from(settles),
-            "the probe drops exactly the counted successors"
-        );
-    }
-
-    /// Packages a monitor violation with the trace context of `w` (the
-    /// monitor's witness sub-zone when it tightened one, the current
-    /// zone otherwise).
-    fn violation(&self, mut mv: MonitorViolation, w: &Work) -> Box<Violation> {
-        let zone = mv.witness.take().unwrap_or_else(|| w.zone.clone());
-        Box::new(Violation {
-            mv,
-            acts: w.acts.clone(),
-            zone,
-        })
-    }
-
-    /// Fires edge `eid` of automaton `ai` on `w` in place: guard
-    /// restriction (incremental closure — the zone stays canonical
-    /// throughout, no Floyd–Warshall), monitor transition checks,
-    /// resets, location move, emission enqueue. `Ok(false)` when the
-    /// guard is unsatisfiable (the caller recycles `w.zone`).
-    fn apply_edge(
-        &self,
-        w: &mut Work,
-        ai: usize,
-        eid: usize,
-        local: &mut LocalStats,
-    ) -> Result<bool, Box<Violation>> {
-        let edge = &self.net.automata[ai].edges[eid];
-        for atom in &edge.guard {
-            if !atom.apply_and_close(&mut w.zone) {
-                return Ok(false);
-            }
-        }
-        local.transitions += 1;
-        w.acts.push(Act::Edge {
-            aut: ai as u16,
-            eid: eid as u16,
-        });
-
-        // Monitor observation: guard applied, resets and location move
-        // still pending (`ctx.locs` shows the pre-move vector).
-        let ctx = TransitionCtx {
-            net: self.net,
-            aut: ai,
-            src: edge.src,
-            dst: edge.dst,
-            locs: &w.locs,
-        };
-        let Work {
-            ref mut mon,
-            ref mut zone,
-            ..
-        } = *w;
-        if let Err(mv) = self.monitor.on_transition(&ctx, mon, zone) {
-            return Err(self.violation(mv, w));
-        }
-
-        let edge = &self.net.automata[ai].edges[eid];
-        for (clock, v) in &edge.resets {
-            w.zone.reset(*clock, *v);
-        }
-        w.locs[ai] = edge.dst as u32;
-        for &rid in &self.emit_ids[ai][eid] {
-            w.queue.push_back((ai as u32, rid));
-        }
-        Ok(true)
-    }
-
-    /// Assigns a delivery fate to receiver `idx` of an in-flight event
-    /// and recurses over the remaining receivers (in automaton order,
-    /// matching the executor's broadcast order), producing the full
-    /// cartesian product of per-receiver fates:
-    ///
-    /// * every enabled receiving edge is a *delivered* branch;
-    /// * a **lossy** receiver can always *drop* instead;
-    /// * a **reliable** receiver only ignores the event where no edge of
-    ///   its is enabled — exact via guard-atom negation for a single
-    ///   guarded edge, conservatively over-approximated (full-zone
-    ///   ignore, which can only add behaviours, never hide one) when
-    ///   several guarded edges compete.
-    ///
-    /// The drop fate is always a receiver's last branch, so it takes `w`
-    /// itself; every other branch works on a clone.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_fates(
-        &self,
-        mut w: Work,
-        root: u16,
-        receivers: &[(usize, &[RecvEdge])],
-        idx: usize,
-        depth: usize,
-        out: &mut Vec<Work>,
-        local: &mut LocalStats,
-        pool: &mut DbmPool,
-    ) -> Result<(), Box<Violation>> {
-        if idx == receivers.len() {
-            return self.resolve(w, depth + 1, out, local, pool);
-        }
-        let (ai, edges) = receivers[idx];
-        let aut = ai as u16;
-        let mut any_delivered = false;
-        for re in edges {
-            let mut branch = w.clone_via(pool);
-            branch.acts.push(Act::Deliver { root, aut });
-            if self.apply_edge(&mut branch, ai, re.eid as usize, local)? {
-                any_delivered = true;
-                self.deliver_fates(branch, root, receivers, idx + 1, depth, out, local, pool)?;
-            } else {
-                pool.recycle(branch.zone);
-            }
-        }
-        // Any lossy receiving edge means the wireless hop itself can drop
-        // the message (also the conservative fate when an automaton mixes
-        // lossy and reliable edges on one root, which the pattern never
-        // does); a purely reliable receiver only misses the event where
-        // none of its edges is enabled.
-        if edges.iter().any(|re| re.lossy) || !any_delivered {
-            // Drop (lossy) or discard (reliable but nowhere enabled).
-            w.acts.push(Act::Lost { root, aut });
-            return self.deliver_fates(w, root, receivers, idx + 1, depth, out, local, pool);
-        }
-        // Reliable and at least one edge delivered somewhere in the zone:
-        // the event is still ignored on the sub-zone where no edge is
-        // enabled. An unguarded reliable edge is always enabled, so no
-        // ignore fate exists then.
-        let guard = |re: &RecvEdge| &self.net.automata[ai].edges[re.eid as usize].guard;
-        if edges.iter().all(|re| !guard(re).is_empty()) {
-            if let [only] = edges {
-                // Exact complement: one guarded edge, branch per negated
-                // guard atom.
-                for atom in guard(only) {
-                    let mut branch = w.clone_via(pool);
-                    if !atom.negated().apply_and_close(&mut branch.zone) {
-                        pool.recycle(branch.zone);
-                        continue;
-                    }
-                    branch.acts.push(Act::GuardOff { root, aut });
-                    self.deliver_fates(branch, root, receivers, idx + 1, depth, out, local, pool)?;
-                }
-            } else {
-                // Several guarded reliable edges: over-approximate with a
-                // full-zone ignore branch (sound for Safe verdicts).
-                let mut branch = w.clone_via(pool);
-                branch.acts.push(Act::MaybeIgnored { root, aut });
-                self.deliver_fates(branch, root, receivers, idx + 1, depth, out, local, pool)?;
-            }
-        }
-        pool.recycle(w.zone);
-        Ok(())
-    }
-
-    /// The receiving edges of automaton `ai` in location `loc` that
-    /// listen for `root`, in edge order: one run of the root-sorted
-    /// dispatch table.
-    fn receivers_in(&self, ai: usize, loc: u32, root: u16) -> &[RecvEdge] {
-        let table = &self.recv[ai][loc as usize];
-        let start = table.partition_point(|re| re.root < root);
-        let len = table[start..].partition_point(|re| re.root == root);
-        &table[start..start + len]
-    }
-
-    /// Resolves pending emissions (branching on delivery fates) and
-    /// invariant-expired sub-zones (firing urgent escapes), collecting
-    /// fully settled states.
-    fn resolve(
-        &self,
-        mut w: Work,
-        depth: usize,
-        out: &mut Vec<Work>,
-        local: &mut LocalStats,
-        pool: &mut DbmPool,
-    ) -> Result<(), Box<Violation>> {
-        if depth > CASCADE_DEPTH {
-            out.push(w);
-            return Ok(());
-        }
-        if let Some((sender, root)) = w.queue.pop_front() {
-            // Candidate receivers, one slice of the dispatch table per
-            // listening automaton: the executor broadcasts an emission
-            // to every listener except the sender (`route_emission`
-            // skips `receiver == sender`), and each listener's wireless
-            // delivery has its own drop fate.
-            let receivers: Vec<(usize, &[RecvEdge])> = w
-                .locs
+    /// The pre-extrapolation subsumption probe the successor function
+    /// calls: whether a zone settled under `key` in an earlier round
+    /// includes `zone`. Phase 1 never mutates node arenas, so this read
+    /// is deterministic.
+    fn passed_covers(&self, key: &Key, zone: &Dbm) -> bool {
+        let shard = self.shards[shard_of(key)].lock();
+        shard.keys.get(key).is_some_and(|kid| {
+            shard.buckets[kid as usize]
                 .iter()
-                .enumerate()
-                .filter(|&(ai, _)| ai != sender as usize)
-                .map(|(ai, &l)| (ai, self.receivers_in(ai, l, root)))
-                .filter(|(_, edges)| !edges.is_empty())
-                .collect();
-            return self.deliver_fates(w, root, &receivers, 0, depth, out, local, pool);
-        }
-
-        // No pending events. Without an urgent escape to fire, the work
-        // item settles in place, within the invariants.
-        if !self.has_escape(&w.locs, &w.zone) {
-            if self.apply_invariants(&w.locs, &mut w.zone) {
-                out.push(w);
-            } else {
-                pool.recycle(w.zone);
-            }
-            return Ok(());
-        }
-        // Otherwise the sub-zone within the invariants settles first…
-        let mut zin = pool.clone_dbm(&w.zone);
-        if self.apply_invariants(&w.locs, &mut zin) {
-            out.push(Work {
-                locs: w.locs.clone(),
-                mon: w.mon.clone(),
-                zone: zin,
-                queue: VecDeque::new(),
-                acts: w.acts.clone(),
-            });
-        } else {
-            pool.recycle(zin);
-        }
-        // …then the sub-zones beyond an invariant of a location with
-        // urgent edges take an urgent escape now. (Those beyond the
-        // invariant of a location without one have nothing to fire and
-        // are dropped.)
-        for (ai, aut) in self.net.automata.iter().enumerate() {
-            let loc = w.locs[ai] as usize;
-            if self.urgent[ai][loc].is_empty() {
-                continue;
-            }
-            for atom in &aut.locations[loc].invariant {
-                let mut zout = pool.clone_dbm(&w.zone);
-                if !atom.negated().apply_and_close(&mut zout) {
-                    pool.recycle(zout);
-                    continue;
-                }
-                for &eid in &self.urgent[ai][loc] {
-                    let mut branch = Work {
-                        locs: w.locs.clone(),
-                        mon: w.mon.clone(),
-                        zone: pool.clone_dbm(&zout),
-                        queue: w.queue.clone(),
-                        acts: w.acts.clone(),
-                    };
-                    branch.acts.push(Act::InvariantExpired { aut: ai as u16 });
-                    if self.apply_edge(&mut branch, ai, eid as usize, local)? {
-                        self.resolve(branch, depth + 1, out, local, pool)?;
-                    } else {
-                        pool.recycle(branch.zone);
-                    }
-                }
-                pool.recycle(zout);
-            }
-        }
-        pool.recycle(w.zone);
-        Ok(())
-    }
-
-    /// Whether some occupied location with an urgent edge has an
-    /// invariant atom whose negation the canonical, non-empty `zone`
-    /// satisfies: a sub-zone [`Engine::resolve`] must send down an
-    /// urgent escape.
-    fn has_escape(&self, locs: &[u32], zone: &Dbm) -> bool {
-        locs.iter().enumerate().any(|(ai, &l)| {
-            !self.urgent[ai][l as usize].is_empty()
-                && self.net.automata[ai].locations[l as usize]
-                    .invariant
-                    .iter()
-                    .any(|atom| atom.negated().satisfiable_in(zone))
+                .any(|&ni| shard.nodes[ni as usize].zone.includes(zone))
         })
-    }
-
-    /// Conjoins the invariants of the locations `locs` onto a canonical
-    /// zone; `false` when they empty it. The upper bounds — every
-    /// invariant the pattern lowers to — close together in one pass
-    /// ([`Dbm::constrain_upper_and_close`]); a lower-bound atom closes
-    /// on its own first. The result is the canonical form of the whole
-    /// conjunction, so the order is immaterial.
-    fn apply_invariants(&self, locs: &[u32], zone: &mut Dbm) -> bool {
-        let atoms = || {
-            self.net
-                .automata
-                .iter()
-                .zip(locs)
-                .flat_map(|(aut, &l)| &aut.locations[l as usize].invariant)
-        };
-        atoms()
-            .filter(|a| a.upper_bound().is_none())
-            .all(|a| a.apply_and_close(zone))
-            && zone.constrain_upper_and_close(
-                atoms().filter_map(|a| Some((a.clock, a.upper_bound()?))),
-            )
-    }
-
-    /// Cook's steps before its subsumption probe, on a zone settled in
-    /// the locations `locs` with observer state `mon`: delay within the
-    /// location invariants (unless some occupied location freezes time),
-    /// then the monitor's and the static masks' dead-clock frees.
-    /// `false` when the invariants empty the zone, which cannot happen
-    /// to a zone that satisfied them. [`Engine::stutter_cover`] runs the
-    /// same steps.
-    fn delay_and_free(&self, locs: &[u32], mon: &MonitorState, zone: &mut Dbm) -> bool {
-        // Delay: up-close within the conjunction of location invariants,
-        // unless some occupied location freezes time.
-        let frozen = locs
-            .iter()
-            .enumerate()
-            .any(|(ai, &l)| self.net.automata[ai].locations[l as usize].frozen);
-        if !frozen {
-            zone.up();
-            if !self.apply_invariants(locs, zone) {
-                return false;
-            }
-        }
-        // Observer-clock activity reduction: the monitor frees whichever
-        // of its clocks are dead in this state, collapsing zones that
-        // differ only in dead-clock history.
-        self.monitor.reduce_activity(locs, mon, zone);
-        // …and the same collapse for the network's own clocks, from the
-        // static per-location liveness masks. A freed clock is reset
-        // before its next read, so no future guard, invariant, or
-        // observer constraint can tell the difference.
-        if let Some(masks) = self.masks {
-            let mut dead = masks.dead_mask(locs);
-            while dead != 0 {
-                zone.free(dead.trailing_zeros() as usize + 1);
-                dead &= dead - 1;
-            }
-        }
-        true
-    }
-
-    /// Cooks a settled work item into an admission candidate: delay
-    /// closure, observer-clock activity reduction, extrapolation, and
-    /// the state-level PTE checks. Subsumption is deferred to phase 2.
-    /// Every step keeps the zone canonical and re-closes only what it
-    /// changed: the invariants after `up()` in one pass, extrapolation
-    /// over just the entries it loosened.
-    fn cook(
-        &self,
-        mut w: Work,
-        parent: Option<NodeId>,
-        local: &mut LocalStats,
-        pool: &mut DbmPool,
-    ) -> Result<Option<Candidate>, Box<Violation>> {
-        if !self.delay_and_free(&w.locs, &w.mon, &mut w.zone) {
-            // Guards against malformed inputs.
-            pool.recycle(w.zone);
-            return Ok(None);
-        }
-
-        // Early subsumption probe — *before* extrapolation: if an
-        // already-passed zone (from a previous round; phase 1 never
-        // mutates node arenas, so this read is deterministic) includes
-        // the un-extrapolated candidate, every concrete behaviour from
-        // here is covered by an explored state and the candidate can be
-        // dropped without paying for extrapolation, reduction, or
-        // admission. Sound for violation reporting too: passed zones
-        // are violation-free by construction (a cooked zone with a
-        // satisfiable violation is reported, never admitted), and the
-        // bound sets cover every monitor constant
-        // ([`Monitor::fold_bounds`]), so a violation satisfiable in the
-        // dropped candidate's widening would be satisfiable in the
-        // subsuming passed zone as well.
-        let key: Key = (w.locs, w.mon);
-        {
-            let shard = self.shards[shard_of(&key)].lock();
-            if let Some(kid) = shard.keys.get(&key) {
-                if shard.buckets[kid as usize]
-                    .iter()
-                    .any(|&ni| shard.nodes[ni as usize].zone.includes(&w.zone))
-                {
-                    local.subsumed += 1;
-                    pool.recycle(w.zone);
-                    return Ok(None);
-                }
-            }
-        }
-
-        match self.extrapolation {
-            Extrapolation::ExtraM => w.zone.extrapolate(&self.kmax),
-            Extrapolation::ExtraLu => w.zone.extrapolate_lu_plus(&self.lu.lower, &self.lu.upper),
-        }
-
-        // State-level monitor checks on the delay-closed zone.
-        if let Err(mut mv) = self.monitor.check_settled(&key.0, &key.1, &w.zone) {
-            let zone = mv.witness.take().unwrap_or_else(|| w.zone.clone());
-            return Err(Box::new(Violation {
-                mv,
-                acts: w.acts.clone(),
-                zone,
-            }));
-        }
-
-        Ok(Some(Candidate {
-            key,
-            zone: w.zone,
-            parent,
-            acts: w.acts,
-        }))
     }
 
     /// The outcome of a round that met `violations`: the round itself
@@ -2262,98 +1270,23 @@ impl Engine<'_> {
         SymbolicVerdict::Unsafe(Box::new(least))
     }
 
-    /// Renders one action code to its human-readable string (the exact
-    /// PR 2 wording — only the moment of formatting moved, from the hot
-    /// path to counter-example reporting).
-    fn render_act(&self, a: Act) -> String {
-        match a {
-            Act::Initial => "initial state".to_string(),
-            Act::Edge { aut, eid } => {
-                let a = &self.net.automata[aut as usize];
-                let edge = &a.edges[eid as usize];
-                format!(
-                    "{}: {} -> {}{}",
-                    a.name,
-                    a.locations[edge.src].name,
-                    a.locations[edge.dst].name,
-                    match &edge.sync {
-                        Sync::External(r) => format!(" (on {})", r.as_str()),
-                        Sync::Reliable(r) | Sync::Lossy(r) => format!(" (recv {})", r.as_str()),
-                        Sync::None => String::new(),
-                    }
-                )
-            }
-            Act::Deliver { root, aut } => format!(
-                "deliver {} to {}",
-                self.roots[root as usize].as_str(),
-                self.net.automata[aut as usize].name
-            ),
-            Act::Lost { root, aut } => format!(
-                "{} lost/ignored by {}",
-                self.roots[root as usize].as_str(),
-                self.net.automata[aut as usize].name
-            ),
-            Act::GuardOff { root, aut } => format!(
-                "{} ignored by {} (guard off)",
-                self.roots[root as usize].as_str(),
-                self.net.automata[aut as usize].name
-            ),
-            Act::MaybeIgnored { root, aut } => format!(
-                "{} possibly ignored by {}",
-                self.roots[root as usize].as_str(),
-                self.net.automata[aut as usize].name
-            ),
-            Act::InvariantExpired { aut } => {
-                format!("{} invariant expired", self.net.automata[aut as usize].name)
-            }
-        }
-    }
-
-    /// Renders one step (a settle's action codes) as PR 2's `"; "`-joined
-    /// line.
-    fn render_step(&self, acts: &[Act]) -> String {
-        acts.iter()
-            .map(|&a| self.render_act(a))
-            .collect::<Vec<_>>()
-            .join("; ")
-    }
-
     fn render_ce(
         &self,
         parent: Option<NodeId>,
         v: Violation,
         memo: &mut HashMap<NodeId, Rc<[String]>>,
     ) -> SymbolicCounterExample {
-        let mut steps = parent.map_or_else(Vec::new, |id| self.path(id, memo).to_vec());
-        // The monitor's trace note (e.g. "dwell risky beyond the Rule-1
-        // bound") joins the final step like any other action.
-        let mut last = self.render_step(&v.acts);
-        if let Some(note) = &v.mv.trace_note {
-            if last.is_empty() {
-                last = note.clone();
-            } else {
-                last.push_str("; ");
-                last.push_str(note);
-            }
-        }
-        steps.push(last);
-        let mut names = self.net.clocks.clone();
-        names.extend(self.monitor.clock_names().iter().cloned());
-        let rank = v.mv.rank();
-        SymbolicCounterExample {
-            violation: v.mv.message,
-            rank,
-            steps,
-            zone: v.zone.render(&names),
-        }
+        let steps = parent.map_or_else(Vec::new, |id| self.path(id, memo).to_vec());
+        self.sem.counter_example(steps, v)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ta::{Atom, Rel, TaAutomaton, TaEdge, TaLocation};
+    use crate::ta::{Atom, Rel, Sync, TaAutomaton, TaEdge, TaLocation};
     use crate::LoweredPattern;
+    use pte_hybrid::Root;
 
     /// Registry arms small enough for a debug-build unit test.
     fn arm(name: &str, leased: bool) -> LoweredPattern {
@@ -2422,28 +1355,12 @@ mod tests {
                 let (plain, plain_rounds) = search(&p, false, workers, Goal::Witness);
                 let plain = rendered(plain);
                 assert!(plain.starts_with("symbolic safety violation"), "{plain}");
-                for hint in [r - 1, r + 1] {
+                for hint in [r - 1, r, r + 1] {
                     let (hinted, rounds) = search(&p, false, workers, Goal::WitnessAt(hint));
-                    assert_eq!(
-                        rendered(hinted),
-                        plain,
-                        "{name}, hint {hint}, {workers} workers"
-                    );
-                    assert_eq!(
-                        rounds, plain_rounds,
-                        "{name}, hint {hint}, {workers} workers"
-                    );
+                    let at = format!("{name}, hint {hint} (violation in {r}), {workers} workers");
+                    assert_eq!(rendered(hinted), plain, "{at}");
+                    assert_eq!(rounds, plain_rounds, "{at}");
                 }
-                let (hinted, rounds) = search(&p, false, workers, Goal::WitnessAt(r));
-                assert_eq!(
-                    rendered(hinted),
-                    plain,
-                    "{name}, right hint, {workers} workers"
-                );
-                assert_eq!(
-                    rounds, plain_rounds,
-                    "{name}, right hint, {workers} workers"
-                );
             }
         }
     }
@@ -2463,6 +1380,88 @@ mod tests {
                 let (hinted, rounds) = search(&p, true, workers, Goal::WitnessAt(hint));
                 assert_eq!(rendered(hinted), plain, "hint {hint}, {workers} workers");
                 assert_eq!(rounds, plain_rounds, "hint {hint}, {workers} workers");
+            }
+        }
+    }
+
+    /// A single-threaded search over the successor function alone, with
+    /// the monitor and activity masks [`check_analyzed`] uses: a
+    /// `HashMap` passed list, inclusion in it as the probe, and each
+    /// round's successors admitted in `(key, zone, step codes)` order.
+    /// Returns `[states, transitions, subsumed, stutters]` once the
+    /// frontier drains, or the round of the first violation.
+    fn plain_bfs(p: &LoweredPattern) -> Result<SearchStats, usize> {
+        let analysis = p.analysis();
+        let masks = (analysis.activity.clocks != 0 && !analysis.activity.is_trivial())
+            .then_some(&analysis.activity);
+        let monitor = PteMonitor::new(&p.net, &p.spec).expect("registry spec");
+        let sem = Semantics::new(&p.net, &monitor, Extrapolation::default(), masks)
+            .expect("registry arm fits the engine");
+        let mut stats = SearchStats::default();
+        let (mut local, mut pool) = (LocalStats::default(), DbmPool::new());
+        let mut passed: HashMap<Key, Vec<Dbm>> = HashMap::new();
+        let mut frontier: Vec<(Key, Dbm)> = Vec::new();
+        for round in 0.. {
+            if round > 0 && frontier.is_empty() {
+                break;
+            }
+            let (mut next, mut violated) = (Vec::new(), false);
+            let probe = |k: &Key, z: &Dbm| {
+                passed
+                    .get(k)
+                    .is_some_and(|zs| zs.iter().any(|p| p.includes(z)))
+            };
+            let mut sink = |y: Yield| match y {
+                Ok(s) => next.push(s),
+                Err(_) => violated = true,
+            };
+            if round == 0 {
+                sem.initial(&probe, &mut local, &mut pool, &mut sink);
+            }
+            for (key, zone) in &frontier {
+                sem.successors(key, zone, &probe, &mut local, &mut pool, &mut sink);
+            }
+            if violated {
+                return Err(round);
+            }
+            next.sort_by(|a, b| (&a.key, &a.zone, &a.acts).cmp(&(&b.key, &b.zone, &b.acts)));
+            frontier.clear();
+            for s in next {
+                let zones = passed.entry(s.key.clone()).or_default();
+                if zones.iter().any(|z| z.includes(&s.zone)) {
+                    stats.subsumed += 1;
+                } else {
+                    zones.push(s.zone.clone());
+                    frontier.push((s.key, s.zone));
+                    stats.states += 1;
+                }
+            }
+        }
+        local.fold_into(&mut stats);
+        Ok(stats)
+    }
+
+    /// The plain search reproduces the sharded search's counters on the
+    /// leased arms and stops in the verdict-only search's round on the
+    /// lease-stripped ones, at 1 and 2 workers: staging and admission
+    /// add nothing to the successor function and drop nothing from it.
+    #[test]
+    fn a_plain_search_over_the_successor_function_matches_the_engine() {
+        let counters = |s: SearchStats| [s.states, s.transitions, s.subsumed, s.stutters];
+        for name in ["case-study", "chain-2", "chain-3"] {
+            let (leased, stripped) = (arm(name, true), arm(name, false));
+            let plain = counters(plain_bfs(&leased).expect("leased arms are safe"));
+            let first_violation = plain_bfs(&stripped).expect_err("stripped arms are unsafe");
+            for workers in [1usize, 2] {
+                let limits = Limits {
+                    max_workers: workers,
+                    ..Limits::default()
+                };
+                let verdict = leased.check(&limits).expect("arm checks");
+                let at = format!("{name}, {workers} workers");
+                assert_eq!(verdict.stats().map(|&s| counters(s)), Some(plain), "{at}");
+                let round = violated_round(&search(&stripped, true, workers, Goal::Verdict).0);
+                assert_eq!(first_violation, round, "{at}");
             }
         }
     }

@@ -197,13 +197,6 @@ impl TaNetwork {
         self.clocks.len()
     }
 
-    /// Registers an additional global clock (used by the engine for its
-    /// PTE observer clocks) and returns its 1-based DBM index.
-    pub fn add_clock(&mut self, name: impl Into<String>) -> usize {
-        self.clocks.push(name.into());
-        self.clocks.len()
-    }
-
     /// Finds an automaton index by name.
     pub fn automaton_by_name(&self, name: &str) -> Option<usize> {
         self.automata.iter().position(|a| a.name == name)

@@ -15,15 +15,16 @@
 //! * [`core`] — the paper's contribution: PTE safety rules, lease design
 //!   pattern, conditions c1–c7, parameter synthesis, runtime monitor;
 //! * [`tracheotomy`] — the Section V laser tracheotomy case study;
-//! * [`verify`] — Monte-Carlo / exhaustive / adversarial verification,
-//!   plus the unified `verify::api` session layer (one
-//!   `VerificationRequest` front door whose `Auto` selection runs the
-//!   analytic c1–c7 check, then the zone search, with cancellation and
-//!   streaming progress);
-//! * [`zones`] — symbolic zone-based (DBM) reachability: the fourth
-//!   verification backend — a property-agnostic engine plus a
-//!   safety-monitor layer — proving PTE safety (or any composed
-//!   monitor property) over all real-valued timings and loss fates;
+//! * [`verify`] — the unified `verify::api` session layer (one
+//!   `VerificationRequest` front door over the analytic, symbolic and
+//!   compositional backends, whose `Auto` selection runs the analytic
+//!   c1–c7 check, then the zone search, with cancellation and streaming
+//!   progress), plus Monte-Carlo and bounded-exhaustive verification;
+//! * [`zones`] — symbolic zone-based (DBM) reachability, the engine
+//!   behind the symbolic backend — a property-agnostic search over one
+//!   successor function plus a safety-monitor layer — proving PTE
+//!   safety (or any composed monitor property) over all real-valued
+//!   timings and loss fates;
 //! * [`contracts`] — compositional assume-guarantee verification:
 //!   lease-interface contract automata, a timed refinement checker,
 //!   and the `compositional` backend's per-device + pair-network
